@@ -16,11 +16,15 @@ import (
 // information only and never fail the comparison. Runs are matched by
 // (scenario, op, queue depth, ios); entries present on only one side
 // are reported (missing on the new side is a regression, new-only
-// entries are fine — schemas grow).
+// entries are fine). Reports of different schema versions are refused
+// outright rather than compared on whatever sections overlap.
 func runBenchcmp(oldPath, newPath string, tol float64) {
 	oldRep := readBench(oldPath)
 	newRep := readBench(newPath)
-	regressions, infos := compareBench(oldRep, newRep, newPath, tol)
+	regressions, infos, err := compareBench(oldRep, newRep, newPath, tol)
+	if err != nil {
+		fatal(fmt.Errorf("benchcmp %s -> %s: %w", oldPath, newPath, err))
+	}
 	fmt.Printf("benchcmp %s -> %s (tolerance %.1f%%)\n", oldPath, newPath, tol*100)
 	for _, m := range infos {
 		fmt.Printf("  info: %s\n", m)
@@ -39,17 +43,19 @@ func runBenchcmp(oldPath, newPath string, tol float64) {
 // compareBench is the gate itself, separated from file I/O and process
 // exit so the wall-clock-exclusion contract is unit-testable: two
 // reports that differ only in host-environment fields (generated_unix,
-// cpus_online, wall_ns, events_per_sec, ns_per_io, speedup) must
-// produce zero regressions.
-func compareBench(oldRep, newRep *wallclockReport, newPath string, tol float64) (regressions, infos []string) {
+// cpus_online, wall_ns, events_per_sec, ns_per_io) must produce zero
+// regressions. It returns an error, and no comparison, when the two
+// reports carry different schema versions.
+func compareBench(oldRep, newRep *wallclockReport, newPath string, tol float64) (regressions, infos []string, err error) {
+	if oldRep.SchemaVersion != newRep.SchemaVersion {
+		return nil, nil, fmt.Errorf("schema_version %d (old) != %d (new): reports of different schemas are not comparable; regenerate the baseline",
+			oldRep.SchemaVersion, newRep.SchemaVersion)
+	}
 	reg := func(format string, args ...interface{}) {
 		regressions = append(regressions, fmt.Sprintf(format, args...))
 	}
 	info := func(format string, args ...interface{}) {
 		infos = append(infos, fmt.Sprintf(format, args...))
-	}
-	if oldRep.SchemaVersion != newRep.SchemaVersion {
-		info("schema %d -> %d", oldRep.SchemaVersion, newRep.SchemaVersion)
 	}
 
 	// drifted reports whether new is outside tol of old (relative).
@@ -121,27 +127,6 @@ func compareBench(oldRep, newRep *wallclockReport, newPath string, tol float64) 
 		}
 	}
 
-	newScale := make(map[int]scalingRun)
-	for _, s := range newRep.Scaling {
-		newScale[s.Cores] = s
-	}
-	for _, o := range oldRep.Scaling {
-		n, ok := newScale[o.Cores]
-		if !ok {
-			reg("scaling cores=%d: missing from %s", o.Cores, newPath)
-			continue
-		}
-		if o.Hosts != n.Hosts || o.IOs != n.IOs {
-			info("scaling cores=%d: config changed (%d hosts %d IOs -> %d hosts %d IOs), skipping",
-				o.Cores, o.Hosts, o.IOs, n.Hosts, n.IOs)
-			continue
-		}
-		if drifted(float64(o.VirtualNs), float64(n.VirtualNs)) {
-			reg("scaling cores=%d: virtual_ns %d -> %d (%+.2f%%)",
-				o.Cores, o.VirtualNs, n.VirtualNs, relPct(float64(o.VirtualNs), float64(n.VirtualNs)))
-		}
-	}
-
 	newSens := make(map[string]sensitivityEntry)
 	for _, s := range newRep.Sensitivity {
 		newSens[s.Scenario] = s
@@ -205,7 +190,7 @@ func compareBench(oldRep, newRep *wallclockReport, newPath string, tol float64) 
 		}
 	}
 
-	return regressions, infos
+	return regressions, infos, nil
 }
 
 func relPct(oldV, newV float64) float64 {

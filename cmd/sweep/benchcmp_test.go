@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// benchFixture builds a small but fully-populated report: two runs, a
-// scaling point, and the top-level host-environment fields.
+// benchFixture builds a small but fully-populated report: two runs, two
+// QoS entries, and the top-level host-environment fields.
 func benchFixture() *wallclockReport {
 	return &wallclockReport{
 		SchemaVersion: benchSchemaVersion,
@@ -20,11 +20,6 @@ func benchFixture() *wallclockReport {
 				Events: 150_000, WallNs: 6_000_000, VirtualNs: 14_000_000,
 				EventsPerSec: 2.5e7, NsPerIO: 15_000},
 		},
-		Scaling: []scalingRun{
-			{Cores: 1, Shards: 4, Hosts: 8, IOs: 200, Events: 80_000,
-				VirtualNs: 4_000_000, WallNs: 3_000_000, EventsPerSec: 2.6e7,
-				Speedup: 1.0, Digest: "fnv1a:abc123"},
-		},
 		QoS: []qosEntry{
 			{Scenario: "noisy-neighbor", QoS: false,
 				MaxSustainPct: 50, MaxSustainIOPS: 270_000, ArrivalDigest: "aaaa"},
@@ -32,6 +27,17 @@ func benchFixture() *wallclockReport {
 				MaxSustainPct: 100, MaxSustainIOPS: 540_000, ArrivalDigest: "bbbb"},
 		},
 	}
+}
+
+// mustCompare runs compareBench at 5% tolerance on two reports of the
+// same schema.
+func mustCompare(t *testing.T, oldRep, newRep *wallclockReport, newPath string) (regressions, infos []string) {
+	t.Helper()
+	regressions, infos, err := compareBench(oldRep, newRep, newPath, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return regressions, infos
 }
 
 // TestBenchcmpIgnoresWallClock pins the flake-proofing contract: two
@@ -50,13 +56,8 @@ func TestBenchcmpIgnoresWallClock(t *testing.T) {
 		newRep.Runs[i].EventsPerSec /= 7
 		newRep.Runs[i].NsPerIO *= 7
 	}
-	for i := range newRep.Scaling {
-		newRep.Scaling[i].WallNs *= 7
-		newRep.Scaling[i].EventsPerSec /= 7
-		newRep.Scaling[i].Speedup = 0.4
-	}
 
-	regressions, _ := compareBench(oldRep, newRep, "new.json", 0.05)
+	regressions, _ := mustCompare(t, oldRep, newRep, "new.json")
 	if len(regressions) != 0 {
 		t.Fatalf("wall-clock-only differences flagged as regressions:\n%s",
 			strings.Join(regressions, "\n"))
@@ -70,7 +71,7 @@ func TestBenchcmpGatesVirtualTime(t *testing.T) {
 	newRep := benchFixture()
 	newRep.Runs[0].VirtualNs += newRep.Runs[0].VirtualNs / 2 // +50%
 
-	regressions, _ := compareBench(oldRep, newRep, "new.json", 0.05)
+	regressions, _ := mustCompare(t, oldRep, newRep, "new.json")
 	if len(regressions) != 1 {
 		t.Fatalf("virtual_ns drift produced %d regressions, want 1: %v",
 			len(regressions), regressions)
@@ -88,13 +89,13 @@ func TestBenchcmpMissingRun(t *testing.T) {
 	newRep := benchFixture()
 	newRep.Runs = newRep.Runs[:1]
 
-	regressions, _ := compareBench(oldRep, newRep, "new.json", 0.05)
+	regressions, _ := mustCompare(t, oldRep, newRep, "new.json")
 	if len(regressions) != 1 || !strings.Contains(regressions[0], "missing") {
 		t.Fatalf("dropped run not flagged: %v", regressions)
 	}
 
 	// The mirror image: extra runs on the new side are not regressions.
-	regressions, _ = compareBench(newRep, oldRep, "old.json", 0.05)
+	regressions, _ = mustCompare(t, newRep, oldRep, "old.json")
 	if len(regressions) != 0 {
 		t.Fatalf("new-only run flagged: %v", regressions)
 	}
@@ -108,7 +109,7 @@ func TestBenchcmpGatesQoS(t *testing.T) {
 	newRep.QoS[1].MaxSustainPct = 75
 	newRep.QoS[1].MaxSustainIOPS = 405_000
 
-	regressions, _ := compareBench(oldRep, newRep, "new.json", 0.05)
+	regressions, _ := mustCompare(t, oldRep, newRep, "new.json")
 	if len(regressions) != 2 {
 		t.Fatalf("qos capacity drop produced %d regressions, want 2 (pct + iops): %v",
 			len(regressions), regressions)
@@ -120,7 +121,7 @@ func TestBenchcmpGatesQoS(t *testing.T) {
 	}
 
 	// Improvement direction: more sustainable load must not fail the gate.
-	regressions, infos := compareBench(newRep, oldRep, "old.json", 0.05)
+	regressions, infos := mustCompare(t, newRep, oldRep, "old.json")
 	hasImproved := false
 	for _, m := range infos {
 		if strings.Contains(m, "improved") {
@@ -137,5 +138,24 @@ func TestBenchcmpGatesQoS(t *testing.T) {
 	}
 	if !hasImproved {
 		t.Error("pct increase not reported as improvement")
+	}
+}
+
+// TestBenchcmpRefusesSchemaMismatch: a v7 baseline against a v8 report
+// is refused with both versions named, instead of silently comparing
+// only the sections the two layouts share.
+func TestBenchcmpRefusesSchemaMismatch(t *testing.T) {
+	oldRep := benchFixture()
+	oldRep.SchemaVersion = 7
+	newRep := benchFixture()
+	newRep.SchemaVersion = 8
+	regressions, infos, err := compareBench(oldRep, newRep, "new.json", 0.05)
+	if err == nil {
+		t.Fatalf("v7 vs v8 compared instead of refused: regressions=%v infos=%v", regressions, infos)
+	}
+	for _, want := range []string{"7", "8", "schema_version"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not name %q", err, want)
+		}
 	}
 }

@@ -43,6 +43,50 @@ func TestTracingDoesNotPerturbTiming(t *testing.T) {
 	}
 }
 
+// TestTracingDoesNotPerturbNTBCounters extends the overhead discipline
+// to the fabric's own counters: annotating a hop with its crossing count
+// must not route a second transaction through an NTB adapter, which
+// would bump Translations (and, under an injected stall or outage,
+// SlowCrossings or LinkFaults) only on traced runs.
+func TestTracingDoesNotPerturbNTBCounters(t *testing.T) {
+	spec := fio.JobSpec{
+		Name: "ntb-perturb", Op: fio.RandRW, QueueDepth: 4,
+		MaxIOs: 200, WarmupIOs: 10, RangeBlocks: 1 << 14, Seed: 3,
+	}
+	type ntbCounters struct{ translations, slow, faults uint64 }
+	run := func(tr *trace.Tracer) ntbCounters {
+		var c ntbCounters
+		err := RunWorkload(OursRemote, ScenarioConfig{Tracer: tr}, func(p *sim.Proc, env *Env) error {
+			// Degrade every adapter for the first stretch of the workload
+			// and drop the controller host's link briefly, so the
+			// stall and outage counters move too.
+			for _, h := range env.Cluster.Hosts {
+				h.Adapter.InjectStall(500, 200_000)
+				h.Adapter.InjectLinkDown(3_000)
+			}
+			_, err := fio.Run(p, env.Queue, spec)
+			for _, h := range env.Cluster.Hosts {
+				c.translations += h.Adapter.Translations
+				c.slow += h.Adapter.SlowCrossings
+				c.faults += h.Adapter.LinkFaults
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	off := run(nil)
+	on := run(trace.New())
+	if off.translations == 0 || off.slow == 0 || off.faults == 0 {
+		t.Fatalf("scenario does not exercise every NTB counter: %+v", off)
+	}
+	if off != on {
+		t.Errorf("NTB counters differ: untraced %+v, traced %+v", off, on)
+	}
+}
+
 // TestBreakdownReconciles: on a real full-stack run, the client-stage
 // partition sums exactly to end-to-end latency — the property that makes
 // the breakdown table trustworthy.

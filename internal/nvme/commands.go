@@ -422,7 +422,7 @@ func (c *Controller) prpSegments(p *sim.Proc, prp1, prp2 uint64, total int) ([]p
 			chain = true
 		}
 		listBytes := make([]byte, (count+btoi(chain))*8)
-		if err := c.dmaRead(p, listAddr, listBytes); err != nil {
+		if _, err := c.dmaRead(p, listAddr, listBytes); err != nil {
 			return nil, Status(SCTGeneric, SCDataTransfer)
 		}
 		for i := 0; i < count; i++ {
@@ -502,7 +502,7 @@ func (c *Controller) readPRP(p *sim.Proc, prp1, prp2 uint64, buf []byte) uint16 
 	}
 	off := 0
 	for _, s := range coalesce(segs) {
-		if err := c.dmaRead(p, s.addr, buf[off:off+s.n]); err != nil {
+		if _, err := c.dmaRead(p, s.addr, buf[off:off+s.n]); err != nil {
 			return Status(SCTGeneric, SCDataTransfer)
 		}
 		off += s.n

@@ -647,14 +647,16 @@ func (c *Controller) cmbAt(addr pcie.Addr, n int) []byte {
 }
 
 // dmaRead fetches n bytes for the controller: internal CMB access when the
-// address falls inside the buffer, a fabric DMA read otherwise.
-func (c *Controller) dmaRead(p *sim.Proc, addr pcie.Addr, buf []byte) error {
+// address falls inside the buffer, a fabric DMA read otherwise. It
+// returns the NTB crossings on the read's route (0 for CMB access).
+func (c *Controller) dmaRead(p *sim.Proc, addr pcie.Addr, buf []byte) (int, error) {
 	if s := c.cmbAt(addr, len(buf)); s != nil {
 		p.Sleep(c.params.CMBAccessNs)
 		copy(buf, s)
-		return nil
+		return 0, nil
 	}
-	return c.dom.MemRead(p, c.node, addr, buf)
+	res, err := c.dom.MemReadRoute(p, c.node, addr, buf)
+	return res.Crossings, err
 }
 
 // dmaWrite stores data for the controller: internal CMB access or a
@@ -704,8 +706,10 @@ func (c *Controller) execute(p *sim.Proc, sq *subQueue, slot int) {
 	tr := c.tracer
 	t0 := p.Now()
 	buf := make([]byte, SQESize)
-	if err := c.dmaRetry(p, func() error {
-		return c.dmaRead(p, sq.base+pcie.Addr(slot*SQESize), buf)
+	var cross int
+	if err := c.dmaRetry(p, func() (err error) {
+		cross, err = c.dmaRead(p, sq.base+pcie.Addr(slot*SQESize), buf)
+		return err
 	}); err != nil {
 		c.csts |= CSTSCFS
 		return
@@ -714,11 +718,7 @@ func (c *Controller) execute(p *sim.Proc, sq *subQueue, slot int) {
 	c.qstats[sq.id].Fetched++
 	cmd := UnmarshalSQE(buf)
 	if tr != nil {
-		var cross uint64
-		if res, err := c.dom.Resolve(c.node, sq.base, 1); err == nil {
-			cross = uint64(res.Crossings)
-		}
-		tr.HopNote(sq.id, cmd.CID, trace.StageCtrlFetch, t0, p.Now(), cross)
+		tr.HopNote(sq.id, cmd.CID, trace.StageCtrlFetch, t0, p.Now(), uint64(cross))
 		t0 = p.Now()
 	}
 	decodeNs := c.params.CmdOverheadNs

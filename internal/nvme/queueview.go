@@ -162,29 +162,32 @@ func (q *QueueView) Submit(p *sim.Proc, h *pcie.HostPort, cmd *SQE) error {
 		return nil
 	}
 	if tr == nil {
-		if err := q.Ring(p, h); err != nil {
+		if _, err := q.Ring(p, h); err != nil {
 			return fmt.Errorf("%w (%w)", ErrDoorbellLost, err)
 		}
 		return nil
 	}
 	td := p.Now()
-	if err := q.Ring(p, h); err != nil {
+	route, err := q.Ring(p, h)
+	if err != nil {
 		return fmt.Errorf("%w (%w)", ErrDoorbellLost, err)
 	}
 	tr.Hop(q.ID, cmd.CID, trace.StageSQDoorbell, td, p.Now())
 	// Annotate the doorbell TLP's fabric flight when it crosses NTBs: the
 	// write is posted, so the flight happens after the CPU moves on.
-	if cross, oneWay := h.PathInfo(q.SQDoorbell, 4); cross > 0 {
+	if route.Crossings > 0 {
 		now := p.Now()
-		tr.HopNote(q.ID, cmd.CID, trace.StageNTBCross, now, now+oneWay, uint64(cross))
+		tr.HopNote(q.ID, cmd.CID, trace.StageNTBCross, now, now+route.OneWayNs, uint64(route.Crossings))
 	}
 	return nil
 }
 
 // Ring rings the SQ doorbell with the current tail, committing any
 // deferred submissions (used after batched SQE writes and by the last
-// submitter of a coalesced burst).
-func (q *QueueView) Ring(p *sim.Proc, h *pcie.HostPort) error {
+// submitter of a coalesced burst). It returns the doorbell store's
+// fabric route, the zero Resolved when an injected fault swallows the
+// store.
+func (q *QueueView) Ring(p *sim.Proc, h *pcie.HostPort) (pcie.Resolved, error) {
 	if q.DropSQDoorbells > 0 {
 		// Injected fault: the driver performed the MMIO but the fabric
 		// lost the posted write. The tail stays advanced past the
@@ -194,7 +197,7 @@ func (q *QueueView) Ring(p *sim.Proc, h *pcie.HostPort) error {
 		q.SQDoorbellsDropped++
 		q.SQDoorbells++
 		q.sqDeferred = true
-		return nil
+		return pcie.Resolved{}, nil
 	}
 	if q.DelaySQDoorbells > 0 {
 		q.DelaySQDoorbells--
@@ -205,7 +208,7 @@ func (q *QueueView) Ring(p *sim.Proc, h *pcie.HostPort) error {
 	q.SQDoorbells++
 	var db [4]byte
 	binary.LittleEndian.PutUint32(db[:], uint32(q.sqTail))
-	return h.Write(p, q.SQDoorbell, db[:])
+	return h.WriteRoute(p, q.SQDoorbell, db[:])
 }
 
 // Poll checks the current CQ head slot for a new completion. It consumes

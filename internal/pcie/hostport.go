@@ -122,23 +122,31 @@ func (h *HostPort) Local(addr Addr, n uint64) bool { return h.mem.Contains(addr,
 // Write stores data at addr. Local DRAM writes cost CPU copy time and are
 // immediately visible; other addresses become posted fabric writes.
 func (h *HostPort) Write(p *sim.Proc, addr Addr, data []byte) error {
+	_, err := h.WriteRoute(p, addr, data)
+	return err
+}
+
+// WriteRoute is Write that also returns the fabric route the store took
+// (the zero Resolved for local DRAM), so tracing can annotate the hop
+// without routing it a second time.
+func (h *HostPort) WriteRoute(p *sim.Proc, addr Addr, data []byte) (Resolved, error) {
 	if h.Local(addr, uint64(len(data))) {
 		p.Sleep(h.cpu.CopyNs(len(data)))
 		if err := h.mem.Write(addr, data); err != nil {
-			return err
+			return Resolved{}, err
 		}
 		for _, w := range h.watches {
 			if w.rng.Overlaps(Range{Base: addr, Size: uint64(len(data))}) {
 				w.fn(addr, len(data))
 			}
 		}
-		return nil
+		return Resolved{}, nil
 	}
 	if len(data) <= 8 {
-		return h.dom.MMIOWrite(p, h.node, addr, data)
+		return h.dom.mmioWrite(p, h.node, addr, data)
 	}
 	p.Sleep(h.cpu.CopyNs(len(data))) // CPU streams the bytes to the window
-	return h.dom.MemWrite(p, h.node, addr, data)
+	return h.dom.memWrite(p, h.node, addr, data)
 }
 
 // Read loads len(buf) bytes from addr. Local DRAM reads cost CPU copy
@@ -149,21 +157,6 @@ func (h *HostPort) Read(p *sim.Proc, addr Addr, buf []byte) error {
 		return h.mem.Read(addr, buf)
 	}
 	return h.dom.MemRead(p, h.node, addr, buf)
-}
-
-// PathInfo returns the structural cost of reaching [addr, addr+n) from
-// this CPU — NTB crossings and one-way latency — without issuing a
-// transaction or advancing virtual time. Local DRAM is (0, 0); so is an
-// unroutable address. Used by tracing to annotate fabric hops.
-func (h *HostPort) PathInfo(addr Addr, n int) (crossings int, oneWayNs int64) {
-	if n < 0 || h.Local(addr, uint64(n)) {
-		return 0, 0
-	}
-	res, err := h.dom.Resolve(h.node, addr, uint64(n))
-	if err != nil {
-		return 0, 0
-	}
-	return res.Crossings, res.OneWayNs
 }
 
 // Slice returns a zero-copy view of local DRAM; it fails for non-local

@@ -190,12 +190,6 @@ type Domain struct {
 	// NTB boundary (Crossings > 0): offered busy time and mean bytes in
 	// flight on the cluster link, as seen from this domain's initiators.
 	link attr.Window
-	// shard is the execution-shard assignment for the parallel sharded
-	// kernel (sim.ShardGroup): domains on the same shard may interact
-	// synchronously; cross-shard interactions must ride messages with at
-	// least the fabric's minimum crossing latency. 0 (the default) is the
-	// single-shard fallback — today's sequential kernel.
-	shard int
 }
 
 // DomainStats counts fabric transactions initiated in this domain. All
@@ -231,14 +225,6 @@ func NewDomain(name string, k *sim.Kernel, params LinkParams) *Domain {
 
 // Kernel returns the simulation kernel the domain runs on.
 func (d *Domain) Kernel() *sim.Kernel { return d.kernel }
-
-// SetShard assigns the domain to an execution shard of the parallel
-// kernel. Purely an assignment label: the scenario wiring is responsible
-// for actually placing the domain's processes on that shard's kernel.
-func (d *Domain) SetShard(id int) { d.shard = id }
-
-// Shard returns the domain's execution-shard assignment (default 0).
-func (d *Domain) Shard() int { return d.shard }
 
 // Params returns the domain's link cost model.
 func (d *Domain) Params() LinkParams { return d.params }
@@ -433,9 +419,15 @@ func (d *Domain) postedArrival(from NodeID, lat int64) sim.Time {
 // delivery is scheduled for one path traversal later. The data is captured
 // at issue time.
 func (d *Domain) MemWrite(p *sim.Proc, from NodeID, addr Addr, data []byte) error {
+	_, err := d.memWrite(p, from, addr, data)
+	return err
+}
+
+// memWrite is MemWrite that also returns the write's route.
+func (d *Domain) memWrite(p *sim.Proc, from NodeID, addr Addr, data []byte) (Resolved, error) {
 	res, err := d.Resolve(from, addr, uint64(len(data)))
 	if err != nil {
-		return err
+		return res, err
 	}
 	d.stats.PostedWrites++
 	d.stats.BytesWritten += uint64(len(data))
@@ -453,15 +445,21 @@ func (d *Domain) MemWrite(p *sim.Proc, from NodeID, addr Addr, data []byte) erro
 	d.kernel.After(arrival-d.kernel.Now(), func() {
 		res.Target.TargetWrite(res.Addr, buf)
 	})
-	return nil
+	return res, nil
 }
 
 // MMIOWrite issues a small posted register write from a CPU: the process is
 // blocked for the store-issue cost only.
 func (d *Domain) MMIOWrite(p *sim.Proc, from NodeID, addr Addr, data []byte) error {
+	_, err := d.mmioWrite(p, from, addr, data)
+	return err
+}
+
+// mmioWrite is MMIOWrite that also returns the store's route.
+func (d *Domain) mmioWrite(p *sim.Proc, from NodeID, addr Addr, data []byte) (Resolved, error) {
 	res, err := d.Resolve(from, addr, uint64(len(data)))
 	if err != nil {
-		return err
+		return res, err
 	}
 	d.stats.MMIOWrites++
 	d.stats.BytesWritten += uint64(len(data))
@@ -477,7 +475,7 @@ func (d *Domain) MMIOWrite(p *sim.Proc, from NodeID, addr Addr, data []byte) err
 	d.kernel.After(arrival-d.kernel.Now(), func() {
 		res.Target.TargetWrite(res.Addr, buf)
 	})
-	return nil
+	return res, nil
 }
 
 // MemRead performs a non-posted read of len(buf) bytes into buf. The
@@ -486,9 +484,18 @@ func (d *Domain) MMIOWrite(p *sim.Proc, from NodeID, addr Addr, data []byte) err
 // Data is captured at the target when the request arrives, matching real
 // completer semantics.
 func (d *Domain) MemRead(p *sim.Proc, from NodeID, addr Addr, buf []byte) error {
+	_, err := d.MemReadRoute(p, from, addr, buf)
+	return err
+}
+
+// MemReadRoute is MemRead that also returns the read's route, so a
+// caller annotating the transaction (tracing) need not route it a
+// second time: every routing pass goes through the NTB forwarders and
+// counts there as a translation.
+func (d *Domain) MemReadRoute(p *sim.Proc, from NodeID, addr Addr, buf []byte) (Resolved, error) {
 	res, err := d.Resolve(from, addr, uint64(len(buf)))
 	if err != nil {
-		return err
+		return res, err
 	}
 	d.stats.Reads++
 	d.stats.BytesRead += uint64(len(buf))
@@ -503,7 +510,7 @@ func (d *Domain) MemRead(p *sim.Proc, from NodeID, addr Addr, buf []byte) error 
 	if res.Crossings > 0 {
 		d.link.Record(t0, d.kernel.Now(), uint64(len(buf)))
 	}
-	return nil
+	return res, nil
 }
 
 // ReadLatency returns the round-trip cost of reading n bytes at addr from

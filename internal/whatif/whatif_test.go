@@ -78,11 +78,12 @@ func TestScenarioMatrixDeterministic(t *testing.T) {
 }
 
 // TestCounterfactualsActuallyChangeOutcomes guards against an overlay
-// that silently fails to reach the executed model: a halved medium must
-// measurably beat the baseline in both the traced and the sharded
-// scenarios.
+// that silently fails to reach the executed model: on the full
+// distributed stack a halved medium must measurably beat the baseline,
+// while a halved admin path must leave the steady-state per-IO mean
+// untouched.
 func TestCounterfactualsActuallyChangeOutcomes(t *testing.T) {
-	rep, err := RunShardScale(4, 50)
+	rep, err := RunScenario(cluster.OursRemote, 4, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestCounterfactualsActuallyChangeOutcomes(t *testing.T) {
 	if medium.ActualNs >= rep.BaselineNs {
 		t.Fatalf("medium x0.5 actual %.1f did not improve on baseline %.1f", medium.ActualNs, rep.BaselineNs)
 	}
-	// admin.service has no sharded steady-state surface at all.
+	// admin.service has no steady-state surface: its lever is bring-up.
 	if admin.ActualNs != rep.BaselineNs {
 		t.Fatalf("admin x0.5 actual %.1f, want baseline %.1f", admin.ActualNs, rep.BaselineNs)
 	}
