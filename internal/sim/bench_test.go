@@ -10,7 +10,7 @@ func reportEventsPerSec(b *testing.B, k *Kernel) {
 
 // BenchmarkKernelSleepChain is the fast-path ceiling: one process sleeping
 // repeatedly with an otherwise empty heap, so every wakeup advances the
-// clock inline without a goroutine handoff.
+// clock inline without a coroutine switch.
 func BenchmarkKernelSleepChain(b *testing.B) {
 	k := NewKernel()
 	k.Spawn("sleeper", func(p *Proc) {
@@ -26,8 +26,8 @@ func BenchmarkKernelSleepChain(b *testing.B) {
 }
 
 // BenchmarkKernelPingPong is the slow-path floor: two processes waking
-// each other through signals, so every event is a real cross-goroutine
-// resume plus heap (or run-queue) traffic.
+// each other through signals, so every event is a real coroutine switch
+// into the process and back plus heap (or run-queue) traffic.
 func BenchmarkKernelPingPong(b *testing.B) {
 	k := NewKernel()
 	ping, pong := NewSignal(k), NewSignal(k)

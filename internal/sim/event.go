@@ -49,13 +49,15 @@ func (p *Proc) Wait(e *Event) any {
 	if e.triggered {
 		return e.payload
 	}
+	p.mustRun()
 	e.waiters = append(e.waiters, p)
 	p.k.park(p)
 	p.yield()
 	if !e.triggered {
-		// A resume without a trigger means another goroutine called this
-		// proc's blocking methods (illegal concurrent use): fail loudly
-		// instead of returning a nil payload that corrupts the caller.
+		// A resume without a trigger means a wakeup escaped the epoch
+		// guard, or a goroutine outside the simulation called into it
+		// concurrently: fail loudly instead of returning a nil payload
+		// that corrupts the caller.
 		panic("sim: spurious wake of " + p.name + " in Wait")
 	}
 	return e.payload
@@ -74,6 +76,7 @@ func (p *Proc) WaitTimeout(e *Event, d Duration) (any, bool) {
 	if d <= 0 {
 		return nil, false
 	}
+	p.mustRun()
 	tm := p.wakeAt(p.k.now + d)
 	e.waiters = append(e.waiters, p)
 	p.k.park(p)
@@ -125,6 +128,7 @@ func (s *Signal) Set() {
 
 // WaitSignal blocks until the next Set.
 func (p *Proc) WaitSignal(s *Signal) {
+	p.mustRun()
 	s.waiters = append(s.waiters, p)
 	p.k.park(p)
 	p.yield()
@@ -136,6 +140,7 @@ func (p *Proc) WaitSignalTimeout(s *Signal, d Duration) bool {
 	if d <= 0 {
 		return false
 	}
+	p.mustRun()
 	before := s.sets
 	tm := p.wakeAt(p.k.now + d)
 	s.waiters = append(s.waiters, p)

@@ -1,25 +1,29 @@
 // Package sim implements a deterministic discrete-event simulation kernel
-// with coroutine-style processes.
+// with coroutine processes.
 //
 // The kernel maintains a virtual clock in nanoseconds and an event heap
 // ordered by (time, sequence). Simulated actors — CPU threads, device
-// controllers, NIC engines — are written as ordinary blocking Go functions
-// running in goroutines, but the kernel guarantees that exactly one process
-// executes at a time and that wakeups are delivered in a deterministic
-// order. This gives SimPy-style ergonomics (Sleep, Wait, Signal) with
-// bit-reproducible runs.
+// controllers, NIC engines — are written as ordinary blocking Go functions.
+// Each runs as a runtime coroutine (iter.Pull): the kernel resumes a
+// process by switching to it and the process switches back when it
+// blocks, so exactly one process executes at a time, always on behalf of
+// the goroutine that called Run, and wakeups are delivered in a
+// deterministic order. This gives SimPy-style ergonomics (Sleep, Wait,
+// Signal) with bit-reproducible runs.
 //
 // Hot-path design (see DESIGN.md "Performance"): scheduled items are
 // pooled with generation counters (zero allocations per schedule in the
 // steady state), same-timestamp items scheduled during dispatch bypass the
-// heap through a FIFO run queue, and a process that sleeps to a wakeup
-// that would be the next item anyway advances the clock inline without
-// yielding to the kernel goroutine at all — no channel handoffs.
+// heap through a FIFO run queue, a process wakeup is one coroutine switch
+// each way, and a process that sleeps to a wakeup that would be the next
+// item anyway advances the clock inline without switching at all.
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Time is virtual simulation time in nanoseconds.
@@ -176,13 +180,14 @@ type Kernel struct {
 	// pool is the item free list; released items keep their backing
 	// storage so steady-state scheduling allocates nothing.
 	pool        []*item
-	ack         chan struct{} // a running process signals the kernel here when it yields or exits
+	running     *Proc // the process whose body is executing, nil between processes
 	stopping    bool
 	dispatching bool // inside Run (or Shutdown) dispatch
 	limit       Time // Run's current limit, valid while dispatching
 	nprocs      int
+	spawned     uint64 // processes spawned so far; numbers Proc.seq
 	executed    uint64
-	parked      waiterSet
+	parked      []*Proc // processes waiting on an event or signal, in no order
 	// tickers are weak repeating timers driven by the Run loop (telemetry
 	// samplers). nextTick caches the earliest pending tick so the hot path
 	// pays one comparison; MaxTime when no ticker is armed.
@@ -222,7 +227,7 @@ func (k *Kernel) Stats() KernelStats {
 
 // NewKernel returns a kernel with the clock at zero.
 func NewKernel() *Kernel {
-	return &Kernel{ack: make(chan struct{}), nextTick: MaxTime}
+	return &Kernel{nextTick: MaxTime}
 }
 
 // Now returns the current virtual time.
@@ -400,121 +405,6 @@ func (k *Kernel) fireTickers() {
 	k.refreshNextTick()
 }
 
-// Stopped is the panic value used to unwind processes when the kernel shuts
-// down. Process functions must not recover it.
-type Stopped struct{}
-
-func (Stopped) Error() string { return "sim: kernel stopped" }
-
-// Proc is a simulated process. A Proc may only call its blocking methods
-// (Sleep, Wait, ...) from the goroutine running its body.
-type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{}
-	// epoch counts completed yields; a wakeup item targets the epoch it
-	// was scheduled in, making stale wakeups self-discarding.
-	epoch  uint64
-	dead   bool
-	exitEv *Event
-}
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the kernel this process runs under.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.k.now }
-
-// Spawn creates a process executing fn. The process starts at the current
-// virtual time, after already-scheduled items for that time.
-func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), exitEv: NewEvent(k)}
-	k.nprocs++
-	k.schedule(k.now, func() {
-		go p.run(fn)
-		<-k.ack
-	})
-	return p
-}
-
-// SpawnAt is like Spawn but delays process start by d.
-func (k *Kernel) SpawnAt(d Duration, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), exitEv: NewEvent(k)}
-	k.nprocs++
-	if d < 0 {
-		d = 0
-	}
-	k.schedule(k.now+d, func() {
-		go p.run(fn)
-		<-k.ack
-	})
-	return p
-}
-
-func (p *Proc) run(fn func(p *Proc)) {
-	defer func() {
-		p.dead = true
-		p.k.nprocs--
-		if r := recover(); r != nil {
-			if _, ok := r.(Stopped); ok {
-				// Unwound by kernel shutdown: hand control back quietly.
-				p.k.ack <- struct{}{}
-				return
-			}
-			panic(r)
-		}
-		p.exitEv.Trigger(nil)
-		p.k.ack <- struct{}{}
-	}()
-	fn(p)
-}
-
-// yield hands control back to the kernel and blocks until resumed.
-func (p *Proc) yield() {
-	p.k.ack <- struct{}{}
-	<-p.resume
-	p.epoch++
-	if p.k.stopping {
-		panic(Stopped{})
-	}
-}
-
-// wakeAt schedules this process to resume at time t.
-func (p *Proc) wakeAt(t Time) timer {
-	return p.k.scheduleProc(t, p)
-}
-
-// Sleep blocks the process for d of virtual time. Negative durations are
-// treated as zero (the process still lets same-time items run first).
-//
-// Fast path: when the wakeup would be the very next item the kernel
-// dispatches anyway — nothing in the run queue, nothing in the heap before
-// t, t within Run's limit — the process advances the clock inline and
-// keeps running. No item, no heap operations, no goroutine handoffs; the
-// observable schedule is identical.
-func (p *Proc) Sleep(d Duration) {
-	if d < 0 {
-		d = 0
-	}
-	k := p.k
-	t := k.now + d
-	if k.dispatching && !k.stopping && t <= k.limit && t < k.nextTick &&
-		k.rqh >= len(k.runq) && (len(k.heap) == 0 || k.heap[0].t > t) {
-		k.now = t
-		k.executed++
-		k.inlineSleeps++
-		return
-	}
-	p.wakeAt(t)
-	p.yield()
-}
-
-// Exited returns an event triggered when the process function returns.
-func (p *Proc) Exited() *Event { return p.exitEv }
-
 // next removes and returns the earliest pending item, merging the heap
 // and the run queue by (time, seq). Run-queue items always carry the
 // current timestamp; heap items at the same timestamp but a smaller seq
@@ -542,8 +432,7 @@ func (k *Kernel) dispatch(it *item) {
 	case it.proc != nil:
 		p := it.proc
 		if !p.dead && p.epoch == it.wake {
-			p.resume <- struct{}{}
-			<-k.ack
+			k.resume(p)
 		}
 	case it.fn != nil:
 		it.fn()
@@ -557,7 +446,7 @@ func (k *Kernel) dispatch(it *item) {
 func (k *Kernel) Run(limit Time) Time {
 	k.dispatching = true
 	k.limit = limit
-	defer func() { k.dispatching = false }()
+	defer func() { k.dispatching, k.running = false, nil }()
 	for {
 		var tnext Time
 		if k.rqh < len(k.runq) {
@@ -588,20 +477,23 @@ func (k *Kernel) Run(limit Time) Time {
 // RunAll runs the simulation until no scheduled items remain.
 func (k *Kernel) RunAll() Time { return k.Run(MaxTime) }
 
-// Shutdown unwinds all blocked processes so their goroutines exit. Pending
+// Shutdown unwinds all blocked processes so their coroutines exit. Pending
 // timers for dead processes are discarded. Call after Run when the kernel
 // will no longer be used (e.g. between benchmark iterations) to avoid
 // leaking goroutines. Shutdown's drain does not count toward Executed —
-// only items genuinely run by Run do.
+// only items genuinely run by Run do. Unwinding runs on the caller's
+// goroutine, so a panic raised while a process unwinds propagates out of
+// Shutdown.
 func (k *Kernel) Shutdown() {
 	k.stopping = true
+	defer func() { k.dispatching, k.running = false, nil }()
 	// Resuming a blocked process makes it panic with Stopped{} in yield.
-	// Blocked processes are exactly those with live goroutines waiting on
-	// p.resume. We cannot enumerate them from here, so shutdown works by
-	// the cooperation of wakeups: drain pending items (timers resume and
-	// immediately unwind), then unwind waiters parked on events. Unwinding
-	// defers may schedule again (e.g. trigger an exit event), so loop
-	// until nothing is left.
+	// A blocked process is either waiting for a scheduled wakeup or
+	// parked on an event or signal: drain pending items (timers resume
+	// and immediately unwind, unstarted processes start and unwind at
+	// their first yield), then unwind parked processes. Unwinding defers
+	// may schedule again (e.g. trigger an exit event), so loop until
+	// nothing is left.
 	for {
 		progress := false
 		k.dispatching = true
@@ -613,8 +505,7 @@ func (k *Kernel) Shutdown() {
 		k.dispatching = false
 		for _, w := range k.collectWaiters() {
 			if !w.dead {
-				w.resume <- struct{}{}
-				<-k.ack
+				k.resume(w)
 				progress = true
 			}
 		}
@@ -624,30 +515,38 @@ func (k *Kernel) Shutdown() {
 	}
 }
 
-// waiterSet tracks processes parked on events so Shutdown can unwind them.
-// Events register and deregister their waiters here.
-type waiterSet map[*Proc]struct{}
-
-// parked processes indexed on the kernel.
+// collectWaiters returns the parked processes in spawn order. The order
+// makes Shutdown deterministic: unwinding runs process code (deferred
+// calls, exit events), so a panic while unwinding must reproduce.
 func (k *Kernel) collectWaiters() []*Proc {
-	out := make([]*Proc, 0, len(k.parked))
-	for p := range k.parked {
-		out = append(out, p)
-	}
-	// Deterministic order is unnecessary during shutdown, but keep it
-	// stable for debuggability: order by name then pointer identity is
-	// not available; shutdown order does not affect simulation results.
+	out := slices.Clone(k.parked)
+	slices.SortFunc(out, func(a, b *Proc) int { return cmp.Compare(a.seq, b.seq) })
 	return out
 }
 
-// park/unpark bookkeeping used by Event.
+// park records that p waits on an event or signal, so Shutdown can
+// unwind it. Events and signals park their waiters and unpark them on
+// wakeup or timeout.
 func (k *Kernel) park(p *Proc) {
-	if k.parked == nil {
-		k.parked = make(waiterSet)
+	if p.parkIdx >= 0 {
+		return
 	}
-	k.parked[p] = struct{}{}
+	p.parkIdx = len(k.parked)
+	k.parked = append(k.parked, p)
 }
 
+// unpark removes p from the parked set, if it is there, by moving the
+// last parked process into its slot.
 func (k *Kernel) unpark(p *Proc) {
-	delete(k.parked, p)
+	i := p.parkIdx
+	if i < 0 {
+		return
+	}
+	last := len(k.parked) - 1
+	q := k.parked[last]
+	k.parked[i] = q
+	q.parkIdx = i
+	k.parked[last] = nil
+	k.parked = k.parked[:last]
+	p.parkIdx = -1
 }

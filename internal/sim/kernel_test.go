@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -354,6 +356,139 @@ func TestShutdownUnwindsBlockedProcs(t *testing.T) {
 	k.Shutdown()
 	if k.nprocs != 0 {
 		t.Fatalf("%d processes alive after Shutdown", k.nprocs)
+	}
+}
+
+// recovered runs fn and returns the value it panicked with, or nil.
+func recovered(fn func()) (r any) {
+	defer func() { r = recover() }()
+	fn()
+	return nil
+}
+
+// TestBlockedFromOutsideBodyPanics: a blocking call on a process made from
+// another process's body, from a kernel callback or from outside Run must
+// fail loudly before the victim joins any waiter list or the clock moves.
+func TestBlockedFromOutsideBodyPanics(t *testing.T) {
+	calls := map[string]func(v *Proc, ev *Event, s *Signal){
+		"Sleep":             func(v *Proc, _ *Event, _ *Signal) { v.Sleep(10) },
+		"Wait":              func(v *Proc, ev *Event, _ *Signal) { v.Wait(ev) },
+		"WaitTimeout":       func(v *Proc, ev *Event, _ *Signal) { v.WaitTimeout(ev, 10) },
+		"WaitSignal":        func(v *Proc, _ *Event, s *Signal) { v.WaitSignal(s) },
+		"WaitSignalTimeout": func(v *Proc, _ *Event, s *Signal) { v.WaitSignalTimeout(s, 10) },
+	}
+	for name, call := range calls {
+		for _, from := range []string{"intruder", "callback", "outside"} {
+			k := NewKernel()
+			ev, s := NewEvent(k), NewSignal(k)
+			victim := k.Spawn("victim", func(p *Proc) { p.WaitSignal(NewSignal(k)) })
+			want, wantNow := "sim: victim blocked from outside any process", Time(0)
+			switch from {
+			case "intruder":
+				k.Spawn("intruder", func(*Proc) { call(victim, ev, s) })
+				want = "sim: victim blocked from intruder"
+			case "callback":
+				k.After(5, func() { call(victim, ev, s) })
+				wantNow = 5
+			}
+			var got any
+			if from == "outside" {
+				k.RunAll()
+				got = recovered(func() { call(victim, ev, s) })
+			} else {
+				got = recovered(func() { k.RunAll() })
+			}
+			if got != want {
+				t.Errorf("%s from %s: panic %v, want %q", name, from, got, want)
+			}
+			if len(ev.waiters) != 0 || len(s.waiters) != 0 || len(k.heap) != 0 || k.now != wantNow {
+				t.Errorf("%s from %s: victim registered or clock moved before the panic", name, from)
+			}
+			k.Shutdown()
+			if k.nprocs != 0 {
+				t.Errorf("%s from %s: %d processes alive after Shutdown", name, from, k.nprocs)
+			}
+		}
+	}
+}
+
+// TestProcPanicReachesRunCaller: a panic in a process body surfaces from
+// RunAll on the caller's goroutine, and the kernel can still shut down.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("bystander", func(p *Proc) { p.WaitSignal(NewSignal(k)) })
+	k.Spawn("faulty", func(p *Proc) {
+		p.Sleep(10)
+		panic("boom")
+	})
+	if got := recovered(func() { k.RunAll() }); got != "boom" {
+		t.Fatalf("RunAll panicked with %v, want boom", got)
+	}
+	if k.running != nil {
+		t.Fatalf("running process %q left set after the panic", k.running.name)
+	}
+	k.Shutdown()
+	if k.nprocs != 0 {
+		t.Fatalf("%d processes alive after Shutdown", k.nprocs)
+	}
+}
+
+// TestShutdownReleasesGoroutines: every way a process can be blocked, and
+// a process that has not started, gives its goroutine back on Shutdown.
+func TestShutdownReleasesGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		k := NewKernel()
+		k.Spawn("signal", func(p *Proc) { p.WaitSignal(NewSignal(k)) })
+		k.Spawn("event", func(p *Proc) { p.Wait(NewEvent(k)) })
+		k.Spawn("timer", func(p *Proc) { p.Sleep(MaxTime / 2) })
+		k.SpawnAt(1000, "unstarted", func(p *Proc) { p.Sleep(1) })
+		k.Run(100)
+		k.Shutdown()
+	}
+	// The previous test's goroutine may still be exiting, so the count
+	// can fall below the baseline; a leak would add one per process.
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after 50 shutdowns, want at most %d", n, base)
+	}
+}
+
+// TestShutdownUnwindsInSpawnOrder: parked processes unwind in spawn order,
+// not name, park or map order, so a panic while unwinding reproduces.
+func TestShutdownUnwindsInSpawnOrder(t *testing.T) {
+	names := []string{"c", "a", "d", "b", "f", "e"}
+	for i := 0; i < 20; i++ {
+		k := NewKernel()
+		ev := NewEvent(k)
+		var order []string
+		for j, n := range names {
+			k.Spawn(n, func(p *Proc) {
+				defer func() { order = append(order, p.Name()) }()
+				p.Sleep(Duration(len(names) - j)) // park in reverse spawn order
+				p.Wait(ev)
+			})
+		}
+		k.RunAll()
+		k.Shutdown()
+		if !slices.Equal(order, names) {
+			t.Fatalf("unwound in order %v, want spawn order %v", order, names)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		k := NewKernel()
+		for _, n := range names {
+			k.Spawn(n, func(p *Proc) {
+				defer func() { panic(p.Name()) }()
+				p.WaitSignal(NewSignal(k))
+			})
+		}
+		k.RunAll()
+		if got := recovered(k.Shutdown); got != names[0] {
+			t.Fatalf("Shutdown panicked with %v, want %q", got, names[0])
+		}
+		if k.running != nil {
+			t.Fatalf("running process %q left set after the panic", k.running.name)
+		}
 	}
 }
 
