@@ -1,6 +1,7 @@
 // Command experiments runs the complete evaluation-reproduction suite
 // (E1–E13, see EXPERIMENTS.md) and prints a paper-vs-measured table.
-// This is the one-shot artifact regeneration entry point.
+// This is the one-shot artifact regeneration entry point. It exits 1 if
+// any row is a MISMATCH.
 //
 // Usage:
 //
@@ -33,10 +34,12 @@ func main() {
 	fmt.Println("Reproduction suite: Multi-Host Sharing of a Single-Function NVMe Device (SC 2024)")
 	fmt.Println()
 	fmt.Printf("%-44s %-18s %-18s %s\n", "experiment", "paper", "measured", "verdict")
+	mismatches := 0
 	line := func(name, paper, measured string, ok bool) {
 		verdict := "OK"
 		if !ok {
 			verdict = "MISMATCH"
+			mismatches++
 		}
 		fmt.Printf("%-44s %-18s %-18s %s\n", name, paper, measured, verdict)
 	}
@@ -95,6 +98,10 @@ func main() {
 	fmt.Println()
 	fmt.Println("E7 (component breakdown): run `fiobench -breakdown`.")
 	fmt.Println("E9/E10 (QD and host scaling), E13 (target offload): run `go test -bench . -benchmem .`")
+	if mismatches > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: %d MISMATCH row(s)\n", mismatches)
+		os.Exit(1)
+	}
 }
 
 func fatal(err error) {

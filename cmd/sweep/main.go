@@ -10,7 +10,8 @@
 //	sweep -trace out.json [-scenario ours-remote] [-qd 4] [-op read|write] [-ios N]
 //	sweep -telemetry out.json [-hosts N] [-qd D] [-ios N] [-interval NS]
 //	sweep -faults [-seed N] [-hosts N] [-qd D] [-ios N] [-out FAULTS_sim.json]
-//	sweep -serve 127.0.0.1:9120 [-linger] [-telemetry out.json]
+//	sweep -volume [-seed N] [-workers N] [-qd D] [-ios N] [-out VOLUME_sim.json]
+//	sweep -qos [-trace out.json] [-out QOS_sim.json]
 //	sweep -bottleneck [-op read|write] [-qd D] [-ios N] [-out report.txt]
 //	sweep -whatif [-qd D] [-ios N] [-out report.txt] [-maxerr PCT]
 //	sweep -benchcmp [-tolerance F] old.json new.json
@@ -58,9 +59,8 @@
 // The -telemetry mode runs the multihost fairness scenario (N clients
 // sharing the single-function controller, plus one local-baseline host
 // on the stock driver) with the virtual-time sampling pipeline attached
-// and writes the pipeline's deterministic JSON dump. Add -serve to
-// expose live /metrics (Prometheus text), /telemetry.json and /healthz
-// while the run executes; -linger keeps serving afterwards.
+// and writes the pipeline's deterministic JSON dump. cmd/clusterdemo
+// -serve exposes the same scenario's live endpoints.
 package main
 
 import (
@@ -84,38 +84,117 @@ import (
 	"repro/internal/whatif"
 )
 
+// options holds sweep's command-line flags.
+type options struct {
+	what, op        string
+	ios             int
+	wallclock       bool
+	out             string
+	trace, scenario string
+	qd              int
+	telemetry       string
+	faults, volume  bool
+	qos             bool
+	workers         int
+	seed            int64
+	hosts           int
+	interval        int64
+	digest          string
+	cpuprof         string
+	memprof         string
+	bottleneck      bool
+	whatif          bool
+	maxErr          float64
+	benchcmp        bool
+	tolerance       float64
+}
+
+// defineFlags registers sweep's flags on fs.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.what, "what", "qd", "sweep: qd, hops, size, hosts")
+	fs.StringVar(&o.op, "op", "read", "operation: read or write")
+	fs.IntVar(&o.ios, "ios", 400, "measured I/Os per point (-volume: per writer and phase, default 150)")
+	fs.BoolVar(&o.wallclock, "wallclock", false, "measure simulator wall-clock throughput and write JSON")
+	fs.StringVar(&o.out, "out", "BENCH_sim.json", "output path (-faults, -volume and -qos default to FAULTS_sim.json, VOLUME_sim.json and QOS_sim.json; -bottleneck and -whatif write a file only when it is given)")
+	fs.StringVar(&o.trace, "trace", "", "run one traced scenario and write Chrome trace-event JSON to this path")
+	fs.StringVar(&o.scenario, "scenario", "ours-remote", "scenario for -trace")
+	fs.IntVar(&o.qd, "qd", 4, "queue depth for -trace")
+	fs.StringVar(&o.telemetry, "telemetry", "", "run the multihost fairness scenario with virtual-time sampling and write deterministic telemetry JSON to this path")
+	fs.BoolVar(&o.faults, "faults", false, "run the fault/recovery scenario (host crash, manager restart, fabric noise) and write a deterministic JSON report")
+	fs.BoolVar(&o.volume, "volume", false, "run the nexus-volume path-death scenario (mirrored writes over two controllers, link outage, reservation fence, integrity sweep) and write a deterministic JSON report")
+	fs.BoolVar(&o.qos, "qos", false, "search the max sustainable open-loop arrival rate per QoS scenario, with and without WRR+admission control, and write a deterministic JSON report (combine with -trace for a Chrome trace with qos counter lanes)")
+	fs.IntVar(&o.workers, "workers", 4, "writer processes for -volume")
+	fs.Int64Var(&o.seed, "seed", 7, "scenario seed for -faults (drives workload and fault plan)")
+	fs.IntVar(&o.hosts, "hosts", 4, "client hosts for -telemetry")
+	fs.Int64Var(&o.interval, "interval", 100_000, "telemetry sampling interval in virtual ns")
+	fs.StringVar(&o.digest, "digest", "", "with -wallclock, also write a deterministic virtual-time digest file to this path (byte-identical at any GOMAXPROCS)")
+	fs.StringVar(&o.cpuprof, "cpuprofile", "", "write a pprof CPU profile of the run to this path")
+	fs.StringVar(&o.memprof, "memprofile", "", "write a pprof heap profile at exit to this path")
+	fs.BoolVar(&o.bottleneck, "bottleneck", false, "run every scenario traced and print ranked per-resource bottleneck attribution (deterministic; -out writes the report text)")
+	fs.BoolVar(&o.whatif, "whatif", false, "execute the counterfactual sensitivity matrix (every knob x factor x scenario) and print predicted-vs-actual deltas ranked by leverage (deterministic; -out writes the report text)")
+	fs.Float64Var(&o.maxErr, "maxerr", whatif.ServiceOnlyErrorBoundPct, "with -whatif, fail (exit 1) if a service-only cell's |prediction error| exceeds this percentage")
+	fs.BoolVar(&o.benchcmp, "benchcmp", false, "compare two BENCH_sim.json files (args: old.json new.json) on virtual-time facts; exit 1 on regression")
+	fs.Float64Var(&o.tolerance, "tolerance", 0.05, "with -benchcmp, relative tolerance for numeric comparisons (0.05 = 5%)")
+	return o
+}
+
+// mode names the one mode the flags select; earlier modes win.
+func (o *options) mode() string {
+	switch {
+	case o.qos:
+		return "qos"
+	case o.trace != "":
+		return "trace"
+	case o.bottleneck:
+		return "bottleneck"
+	case o.whatif:
+		return "whatif"
+	case o.benchcmp:
+		return "benchcmp"
+	case o.faults:
+		return "faults"
+	case o.volume:
+		return "volume"
+	case o.telemetry != "":
+		return "telemetry"
+	case o.wallclock:
+		return "wallclock"
+	}
+	return "sweep"
+}
+
+// modeOut is the -out default of each mode whose report must not land
+// on the -wallclock default; "" writes no file.
+var modeOut = map[string]string{
+	"qos":        "QOS_sim.json",
+	"faults":     "FAULTS_sim.json",
+	"volume":     "VOLUME_sim.json",
+	"bottleneck": "",
+	"whatif":     "",
+}
+
+// modeDefaults gives -out and -ios, whose defaults belong to -wallclock
+// and the latency sweeps, the selected mode's own defaults unless the
+// command line set them.
+func (o *options) modeDefaults(fs *flag.FlagSet) {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	m := o.mode()
+	if out, ok := modeOut[m]; ok && !set["out"] {
+		o.out = out
+	}
+	if m == "volume" && !set["ios"] {
+		o.ios = 150
+	}
+}
+
 func main() {
-	var (
-		what      = flag.String("what", "qd", "sweep: qd, hops, size, hosts")
-		op        = flag.String("op", "read", "operation: read or write")
-		ios       = flag.Int("ios", 400, "measured I/Os per point")
-		wallclock = flag.Bool("wallclock", false, "measure simulator wall-clock throughput and write JSON")
-		out       = flag.String("out", "BENCH_sim.json", "output path for -wallclock JSON")
-		traceOut  = flag.String("trace", "", "run one traced scenario and write Chrome trace-event JSON to this path")
-		scenario  = flag.String("scenario", "ours-remote", "scenario for -trace")
-		qd        = flag.Int("qd", 4, "queue depth for -trace")
-		telOut    = flag.String("telemetry", "", "run the multihost fairness scenario with virtual-time sampling and write deterministic telemetry JSON to this path")
-		faults    = flag.Bool("faults", false, "run the fault/recovery scenario (host crash, manager restart, fabric noise) and write a deterministic JSON report")
-		volumeM   = flag.Bool("volume", false, "run the nexus-volume path-death scenario (mirrored writes over two controllers, link outage, reservation fence, integrity sweep) and write a deterministic JSON report")
-		qosM      = flag.Bool("qos", false, "search the max sustainable open-loop arrival rate per QoS scenario, with and without WRR+admission control, and write a deterministic JSON report (combine with -trace for a Chrome trace with qos counter lanes)")
-		workers   = flag.Int("workers", 4, "writer processes for -volume")
-		seed      = flag.Int64("seed", 7, "scenario seed for -faults (drives workload and fault plan)")
-		hosts     = flag.Int("hosts", 4, "client hosts for -telemetry")
-		interval  = flag.Int64("interval", 100_000, "telemetry sampling interval in virtual ns")
-		serve     = flag.String("serve", "", "serve live /metrics, /telemetry.json and /healthz on this address during -telemetry (e.g. 127.0.0.1:9120)")
-		linger    = flag.Bool("linger", false, "with -serve, keep serving after the run completes until interrupted")
-		digest    = flag.String("digest", "", "with -wallclock, also write a deterministic virtual-time digest file to this path (byte-identical at any GOMAXPROCS)")
-		cpuprof   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
-		memprof   = flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
-		bottleck  = flag.Bool("bottleneck", false, "run every scenario traced and print ranked per-resource bottleneck attribution (deterministic; -out writes the report text)")
-		whatifM   = flag.Bool("whatif", false, "execute the counterfactual sensitivity matrix (every knob x factor x scenario) and print predicted-vs-actual deltas ranked by leverage (deterministic; -out writes the report text)")
-		maxErr    = flag.Float64("maxerr", whatif.ServiceOnlyErrorBoundPct, "with -whatif, fail (exit 1) if a service-only cell's |prediction error| exceeds this percentage")
-		benchcmp  = flag.Bool("benchcmp", false, "compare two BENCH_sim.json files (args: old.json new.json) on virtual-time facts; exit 1 on regression")
-		tolerance = flag.Float64("tolerance", 0.05, "with -benchcmp, relative tolerance for numeric comparisons (0.05 = 5%)")
-	)
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
+	o.modeDefaults(flag.CommandLine)
+	if o.cpuprof != "" {
+		f, err := os.Create(o.cpuprof)
 		if err != nil {
 			fatal(err)
 		}
@@ -127,8 +206,8 @@ func main() {
 			f.Close()
 		}()
 	}
-	if *memprof != "" {
-		path := *memprof
+	if o.memprof != "" {
+		path := o.memprof
 		defer func() {
 			f, err := os.Create(path)
 			if err != nil {
@@ -142,97 +221,56 @@ func main() {
 		}()
 	}
 	fop := fio.RandRead
-	if *op == "write" {
+	if o.op == "write" {
 		fop = fio.RandWrite
 	}
-	if *qosM {
-		qout := *out
-		if qout == "BENCH_sim.json" { // the -wallclock default; don't clobber it
-			qout = "QOS_sim.json"
-		}
-		runQoS(qout, *traceOut)
-		return
-	}
-	if *traceOut != "" {
-		runTrace(*scenario, fop, *op, *qd, *ios, *traceOut)
-		return
-	}
-	if *bottleck {
-		runBottleneck(fop, *op, *qd, *ios, *out)
-		return
-	}
-	if *whatifM {
-		runWhatif(*qd, *ios, *out, *maxErr)
-		return
-	}
-	if *benchcmp {
+	switch o.mode() {
+	case "qos":
+		runQoS(o.out, o.trace)
+	case "trace":
+		runTrace(o.scenario, fop, o.op, o.qd, o.ios, o.trace)
+	case "bottleneck":
+		runBottleneck(fop, o.op, o.qd, o.ios, o.out)
+	case "whatif":
+		runWhatif(o.qd, o.ios, o.out, o.maxErr)
+	case "benchcmp":
 		if flag.NArg() != 2 {
 			fatal(fmt.Errorf("-benchcmp needs exactly two arguments: old.json new.json"))
 		}
-		runBenchcmp(flag.Arg(0), flag.Arg(1), *tolerance)
-		return
-	}
-	if *faults {
-		fout := *out
-		if fout == "BENCH_sim.json" { // the -wallclock default; don't clobber it
-			fout = "FAULTS_sim.json"
-		}
-		runFaults(*seed, *hosts, *qd, *ios, *interval, fout)
-		return
-	}
-	if *volumeM {
-		vout := *out
-		if vout == "BENCH_sim.json" { // the -wallclock default; don't clobber it
-			vout = "VOLUME_sim.json"
-		}
-		// -ios defaults to 400 for the latency sweeps; the volume scenario's
-		// per-worker budget of 150 is the scenario default.
-		vios := *ios
-		if vios == 400 {
-			vios = 150
-		}
-		runVolume(*seed, *workers, *qd, vios, *interval, vout)
-		return
-	}
-	if *telOut != "" || *serve != "" {
-		runTelemetry(*telOut, *hosts, *qd, *ios, *interval, *serve, *linger)
-		return
-	}
-	if *wallclock {
-		sweepWallclock(fop, *ios, *interval, *out, *digest)
-		return
-	}
-	switch *what {
-	case "qd":
-		sweepQD(fop, *ios)
-	case "hops":
-		sweepHops(fop, *ios)
-	case "size":
-		sweepSize(*ios)
-	case "hosts":
-		sweepHosts(*ios, *interval)
+		runBenchcmp(flag.Arg(0), flag.Arg(1), o.tolerance)
+	case "faults":
+		runFaults(o.seed, o.hosts, o.qd, o.ios, o.interval, o.out)
+	case "volume":
+		runVolume(o.seed, o.workers, o.qd, o.ios, o.interval, o.out)
+	case "telemetry":
+		runTelemetry(o.telemetry, o.hosts, o.qd, o.ios, o.interval)
+	case "wallclock":
+		sweepWallclock(fop, o.ios, o.interval, o.out, o.digest)
 	default:
-		fmt.Fprintf(os.Stderr, "sweep: unknown -what %q\n", *what)
-		os.Exit(2)
+		switch o.what {
+		case "qd":
+			sweepQD(fop, o.ios)
+		case "hops":
+			sweepHops(fop, o.ios)
+		case "size":
+			sweepSize(o.ios)
+		case "hosts":
+			sweepHosts(o.ios, o.interval)
+		default:
+			fmt.Fprintf(os.Stderr, "sweep: unknown -what %q\n", o.what)
+			os.Exit(2)
+		}
 	}
 }
 
 // runTelemetry executes the multihost fairness scenario with the
-// virtual-time sampling pipeline attached, optionally serving the live
-// introspection endpoints during the run, and writes the pipeline's
+// virtual-time sampling pipeline attached and writes the pipeline's
 // deterministic JSON dump. The file contains only virtual-time state:
 // the same invocation produces byte-identical output, which CI checks.
-func runTelemetry(out string, hosts, qd, ios int, intervalNs int64, serveAddr string, linger bool) {
+// cmd/clusterdemo -serve exposes the same scenario's live endpoints.
+func runTelemetry(out string, hosts, qd, ios int, intervalNs int64) {
 	reg := trace.NewRegistry()
 	pipe := telemetry.NewPipeline(reg, telemetry.Config{IntervalNs: intervalNs})
-	if serveAddr != "" {
-		srv, err := telemetry.Serve(serveAddr, pipe)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "serving /metrics /telemetry.json /healthz on http://%s\n", srv.Addr())
-	}
 	res, err := cluster.RunMultiHost(cluster.MultiHostConfig{
 		Hosts: hosts, QueueDepth: qd, IOsPerHost: ios, Seed: 7, Op: fio.RandRW,
 		Registry: reg, Pipeline: pipe, LocalBaseline: true,
@@ -243,21 +281,15 @@ func runTelemetry(out string, hosts, qd, ios int, intervalNs int64, serveAddr st
 	fmt.Printf("%d hosts + local baseline: %d IOs in %.2f virtual ms (%.0f IOPS)\n\n",
 		hosts, res.TotalIOs, float64(res.ElapsedNs)/1e6, res.AggIOPS())
 	fmt.Print(res.Fairness.Table())
-	if out != "" {
-		data, err := pipe.MarshalJSON()
-		if err != nil {
-			fatal(err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nwrote %s (%d samples, %d series)\n", out, pipe.Samples(), len(pipe.Series()))
+	data, err := pipe.MarshalJSON()
+	if err != nil {
+		fatal(err)
 	}
-	if linger && serveAddr != "" {
-		fmt.Fprintln(os.Stderr, "lingering; ctrl-C to exit")
-		select {}
+	data = append(data, '\n')
+	if err := os.WriteFile(out, data, 0o644); err != nil {
+		fatal(err)
 	}
+	fmt.Printf("\nwrote %s (%d samples, %d series)\n", out, pipe.Samples(), len(pipe.Series()))
 }
 
 // runTrace executes one scenario with tracing enabled and writes the

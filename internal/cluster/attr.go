@@ -1,45 +1,6 @@
 package cluster
 
-import (
-	"repro/internal/attr"
-	"repro/internal/nvme"
-)
-
-// resourceUtils measures busy-fraction utilization over [0, nowNs] for
-// the resources the attribution layer (internal/attr) blames, keyed by
-// attr.Res* name. Only instrumented resources appear: the controller's
-// command-execution busy time, the hottest SQ/CQ among the active I/O
-// queues, and the cluster link's offered busy time summed over every
-// host domain's cross-NTB traffic. Resources without an occupancy
-// instrument (host software, the flash medium) are absent and reports
-// render them as "-".
-func resourceUtils(ctrl *nvme.Controller, hosts []*Host, nowNs int64) map[string]float64 {
-	u := make(map[string]float64)
-	u[attr.ResNVMeCtrl] = ctrl.BusyOcc.Utilization(nowNs)
-	qids := ctrl.ActiveIOQueues()
-	if len(qids) > 0 {
-		var sqMax, cqMax float64
-		for _, qid := range qids {
-			qs := ctrl.QueueStats(qid)
-			if v := qs.SQOcc.Utilization(nowNs); v > sqMax {
-				sqMax = v
-			}
-			if v := qs.CQOcc.Utilization(nowNs); v > cqMax {
-				cqMax = v
-			}
-		}
-		u[attr.ResNVMeSQ] = sqMax
-		u[attr.ResNVMeCQ] = cqMax
-	}
-	var linkNs int64
-	for _, h := range hosts {
-		linkNs += h.Dom.Link().TotalNs
-	}
-	if nowNs > 0 {
-		u[attr.ResFabricLink] = float64(linkNs) / float64(nowNs)
-	}
-	return u
-}
+import "repro/internal/attr"
 
 // UtilWindow is an occupancy baseline captured at workload start, so
 // scenario utilizations cover only the measured window rather than the
@@ -77,13 +38,19 @@ func (e *Env) StartUtilWindow() *UtilWindow {
 
 // ResourceUtils measures the assembled scenario's per-resource busy
 // fraction between the window baseline and the current virtual time
-// (usually right after the workload drained). A nil window measures
-// from virtual time zero. Pair it with an attr.BlameSet over the same
-// run's spans to build a ranked bottleneck report.
+// (usually right after the workload drained), keyed by attr.Res* name.
+// A nil window measures from virtual time zero. Only instrumented
+// resources appear: the controller's command-execution busy time, the
+// hottest SQ/CQ among the active I/O queues, and the cluster link's
+// offered busy time summed over every host domain's cross-NTB traffic.
+// Resources without an occupancy instrument (host software, the flash
+// medium) are absent and reports render them as "-". Pair it with an
+// attr.BlameSet over the same run's spans to build a ranked bottleneck
+// report.
 func (e *Env) ResourceUtils(w *UtilWindow) map[string]float64 {
 	now := int64(e.Cluster.K.Now())
 	if w == nil {
-		return resourceUtils(e.Ctrl, e.Cluster.Hosts, now)
+		w = &UtilWindow{}
 	}
 	elapsed := now - w.startNs
 	u := make(map[string]float64)

@@ -8,33 +8,41 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
+// The fault scenario's fixed plan and recovery timings. Times are
+// relative to client start.
+const (
+	// faultCrashHost is the client host killed mid-run.
+	faultCrashHost = 2
+	faultCrashAtNs = 500 * sim.Microsecond
+	// faultHeartbeatNs is the client lease-refresh period, faultLeaseNs
+	// the manager's liveness lease, six heartbeat periods long.
+	faultHeartbeatNs = 50 * sim.Microsecond
+	faultLeaseNs     = 300 * sim.Microsecond
+	// faultIOTimeoutNs is the client command timeout; faultMaxRetries
+	// bounds its transient-failure retries.
+	faultIOTimeoutNs = 250 * sim.Microsecond
+	faultMaxRetries  = 4
+)
+
 // FaultRunConfig parameterizes the fault/recovery scenario: the
-// multihost sharing topology plus a deterministic fault plan (one host
-// crash by default, optional fabric noise and a manager restart) and
-// the lease/retry knobs that govern recovery.
+// multihost sharing topology plus a deterministic fault plan. The plan
+// always crashes client host 2 at 500µs; a manager restart and fabric
+// noise are optional. Lease and retry timings are fixed (see
+// faultLeaseNs and its neighbours).
 type FaultRunConfig struct {
-	// Hosts is the number of client hosts (default 4).
+	// Hosts is the number of client hosts (2..31, default 4).
 	Hosts int
 	// QueueDepth is the per-host workload queue depth (default 4).
 	QueueDepth int
 	// IOsPerHost is each survivor's full I/O budget (default 400).
 	IOsPerHost int
-	// RangeBlocks bounds the LBA range touched (default 1<<14).
-	RangeBlocks uint64
 	// Seed drives the workload RNGs and the fault plane's random plan.
 	Seed int64
-
-	// CrashHost is the host killed mid-run (default 2; 0 disables).
-	CrashHost int
-	// CrashAtNs is the crash time relative to client start (default 500µs).
-	CrashAtNs int64
 
 	// ManagerRestart, when > 0, takes the manager down for that many ns
 	// at ManagerRestartAtNs (relative to client start).
@@ -45,17 +53,6 @@ type FaultRunConfig struct {
 	// doorbells, dropped CQEs) on top of the explicit crash/restart.
 	Noise fault.PlanSpec
 
-	// HeartbeatNs is the client lease-refresh period (default 50µs).
-	HeartbeatNs int64
-	// LeaseNs is the manager's liveness lease (default 300µs).
-	LeaseNs int64
-	// IOTimeoutNs is the client command timeout (default 250µs).
-	IOTimeoutNs int64
-	// MaxRetries bounds transient-failure retries (default 4).
-	MaxRetries int
-
-	NVMe     NVMeConfig
-	Cluster  Config
 	Registry *trace.Registry
 	Pipeline *telemetry.Pipeline
 }
@@ -69,27 +66,6 @@ func (cfg FaultRunConfig) withDefaults() FaultRunConfig {
 	}
 	if cfg.IOsPerHost == 0 {
 		cfg.IOsPerHost = 400
-	}
-	if cfg.RangeBlocks == 0 {
-		cfg.RangeBlocks = 1 << 14
-	}
-	if cfg.CrashHost == 0 {
-		cfg.CrashHost = 2
-	}
-	if cfg.CrashAtNs == 0 {
-		cfg.CrashAtNs = 500 * sim.Microsecond
-	}
-	if cfg.HeartbeatNs == 0 {
-		cfg.HeartbeatNs = 50 * sim.Microsecond
-	}
-	if cfg.LeaseNs == 0 {
-		cfg.LeaseNs = 300 * sim.Microsecond
-	}
-	if cfg.IOTimeoutNs == 0 {
-		cfg.IOTimeoutNs = 250 * sim.Microsecond
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 4
 	}
 	return cfg
 }
@@ -163,71 +139,45 @@ func WireClientRecoveryMetrics(reg *trace.Registry, cl *core.Client, host int) {
 
 // RunFaultScenario executes the fault/recovery scenario: the multihost
 // sharing topology with a session/lease manager, one heartbeating
-// client per host, and a deterministic fault plane that (by default)
-// crashes one host mid-run. It then verifies recovery end to end: the
-// manager must reclaim the dead host's queue pair, the freed QID must
-// be re-grantable to a probe client that completes a real I/O through
-// it, and every survivor must finish its full I/O budget.
+// client per host, and a deterministic fault plane that crashes one
+// host mid-run. It then verifies recovery end to end: the manager must
+// reclaim the dead host's queue pair, the freed QID must be
+// re-grantable to a probe client that completes a real I/O through it,
+// and every survivor must finish its full I/O budget.
 func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Hosts < 2 || cfg.Hosts > 31 {
 		return nil, fmt.Errorf("cluster: fault scenario needs 2..31 client hosts, got %d", cfg.Hosts)
 	}
-	if cfg.CrashHost < 0 || cfg.CrashHost > cfg.Hosts {
-		return nil, fmt.Errorf("cluster: crash host %d out of range 1..%d", cfg.CrashHost, cfg.Hosts)
-	}
-	cc := cfg.Cluster
-	cc.Hosts = cfg.Hosts + 1
-	if cc.MemBytes == 0 {
-		cc.MemBytes = 16 << 20
-	}
-	if cc.AdapterWindows == 0 {
-		cc.AdapterWindows = 1024
-	}
-	c, err := New(cc)
+	r, err := newRig(rigSpec{
+		cluster: Config{Hosts: cfg.Hosts + 1},
+		devices: []rigDevice{{"nvme0", NVMeConfig{}}},
+		reg:     cfg.Registry, pipe: cfg.Pipeline,
+	})
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := c.AttachNVMe(0, cfg.NVMe)
-	if err != nil {
-		return nil, err
-	}
-	svc := smartio.NewService(c.Dir)
-	dev, err := svc.Register(0, "nvme0", pcie.Range{Base: NVMeBARBase, Size: NVMeBARSize})
-	if err != nil {
-		return nil, err
-	}
+	ctrl := r.ctrls[0]
 
-	plane := fault.New(c.K, cfg.Seed)
+	plane := fault.New(r.K, cfg.Seed)
 	// Link faults target client hosts only; the device host's adapter
 	// carries every DMA and would turn a single-host fault into a
 	// cluster partition.
 	for i := 1; i <= cfg.Hosts; i++ {
-		plane.BindAdapter(i, c.Hosts[i].Adapter)
+		plane.BindAdapter(i, r.Hosts[i].Adapter)
 	}
 	plane.BindController(ctrl)
-
 	if cfg.Registry != nil {
-		WireKernelMetrics(cfg.Registry, c.K)
-		for _, h := range c.Hosts {
-			WireHostMetrics(cfg.Registry, h)
-		}
-		WireControllerMetrics(cfg.Registry, ctrl)
 		plane.Wire(cfg.Registry)
-	}
-	if cfg.Pipeline != nil {
-		cfg.Pipeline.Attach(c.K)
 	}
 
 	res := &FaultRunResult{}
-	var setupErr error
 	var crashT, endT sim.Time
-	c.Go("manager", func(p *sim.Proc) {
-		mgr, err := core.NewManager(p, svc, dev.ID, c.Hosts[0].Node,
-			core.ManagerParams{LeaseNs: cfg.LeaseNs})
+	r.start("manager", func(p *sim.Proc) error {
+		mgr, err := core.NewManager(p, r.svc, r.devs[0].ID, r.Hosts[0].Node,
+			core.ManagerParams{LeaseNs: faultLeaseNs})
 		if err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		plane.BindManager(mgr)
 		if cfg.Registry != nil {
@@ -237,10 +187,8 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 
 		// Arm the plan relative to client start: the explicit crash and
 		// restart, then the seed-derived noise.
-		if cfg.CrashHost > 0 {
-			plane.Schedule(fault.Action{AtNs: int64(start) + cfg.CrashAtNs,
-				Kind: fault.CrashHost, Host: cfg.CrashHost})
-		}
+		plane.Schedule(fault.Action{AtNs: int64(start) + faultCrashAtNs,
+			Kind: fault.CrashHost, Host: faultCrashHost})
 		if cfg.ManagerRestart > 0 {
 			plane.Schedule(fault.Action{AtNs: int64(start) + cfg.ManagerRestartAtNs,
 				Kind: fault.RestartManager, DurationNs: cfg.ManagerRestart})
@@ -254,27 +202,27 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 			plane.RandomPlan(noise)
 		}
 		plane.Arm()
-		crashT = start + sim.Time(cfg.CrashAtNs)
+		crashT = start + faultCrashAtNs
 
 		runs := make([]FaultHostRun, cfg.Hosts)
 		clients := make([]*core.Client, cfg.Hosts+1)
 		done := make([]*sim.Event, 0, cfg.Hosts)
 		for i := 1; i <= cfg.Hosts; i++ {
 			host := i
-			fin := sim.NewEvent(c.K)
+			fin := sim.NewEvent(r.K)
 			done = append(done, fin)
-			c.Go(fmt.Sprintf("host%d", host), func(cp *sim.Proc) {
+			r.Go(fmt.Sprintf("host%d", host), func(cp *sim.Proc) {
 				defer fin.Trigger(nil)
 				run := &runs[host-1]
 				run.Host = host
-				cl, err := core.NewClient(cp, fmt.Sprintf("dnvme%d", host), svc,
-					c.Hosts[host].Node, mgr, core.ClientParams{
+				cl, err := core.NewClient(cp, fmt.Sprintf("dnvme%d", host), r.svc,
+					r.Hosts[host].Node, mgr, core.ClientParams{
 						QueueDepth:     cfg.QueueDepth + 1,
 						PartitionBytes: 16 << 10,
-						IOTimeoutNs:    cfg.IOTimeoutNs,
-						MaxRetries:     cfg.MaxRetries,
+						IOTimeoutNs:    faultIOTimeoutNs,
+						MaxRetries:     faultMaxRetries,
 						AbortOnTimeout: true,
-						HeartbeatNs:    cfg.HeartbeatNs,
+						HeartbeatNs:    faultHeartbeatNs,
 					})
 				if err != nil {
 					run.Err = err.Error()
@@ -298,24 +246,22 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 		}
 		p.WaitAll(done...)
 
-		// With a crash in the plan, prove the reclaimed QID is reusable:
-		// wait for the reaper, then re-request a queue on a survivor host
-		// while every survivor still holds its own QID — the only grant
-		// the manager can hand the probe is the reclaimed one — and push
-		// one real I/O through it.
-		if cfg.CrashHost > 0 {
-			for mgr.Reclaims == 0 {
-				p.Sleep(cfg.LeaseNs / 2)
-			}
-			probe, err := core.NewClient(p, "dnvme-probe", svc, c.Hosts[1].Node, mgr,
-				core.ClientParams{QueueDepth: cfg.QueueDepth + 1, PartitionBytes: 16 << 10})
-			if err == nil {
-				res.ReusedQID = probe.QID()
-				buf := make([]byte, probe.BlockSize())
-				res.ReuseOK = probe.ReadBlocks(p, 0, 1, buf) == nil &&
-					res.ReusedQID == runs[cfg.CrashHost-1].QID
-				probe.Close(p)
-			}
+		// Prove the reclaimed QID is reusable: wait for the reaper, then
+		// re-request a queue on a survivor host while every survivor
+		// still holds its own QID — the only grant the manager can hand
+		// the probe is the reclaimed one — and push one real I/O
+		// through it.
+		for mgr.Reclaims == 0 {
+			p.Sleep(faultLeaseNs / 2)
+		}
+		probe, err := core.NewClient(p, "dnvme-probe", r.svc, r.Hosts[1].Node, mgr,
+			core.ClientParams{QueueDepth: cfg.QueueDepth + 1, PartitionBytes: 16 << 10})
+		if err == nil {
+			res.ReusedQID = probe.QID()
+			buf := make([]byte, probe.BlockSize())
+			res.ReuseOK = probe.ReadBlocks(p, 0, 1, buf) == nil &&
+				res.ReusedQID == runs[faultCrashHost-1].QID
+			probe.Close(p)
 		}
 		for i := 1; i <= cfg.Hosts; i++ {
 			cl := clients[i]
@@ -332,17 +278,16 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 		res.ElapsedNs = int64(endT - start)
 		res.Heartbeats = mgr.HeartbeatsSeen
 		res.Restarts = mgr.Restarts
+		return nil
 	})
-	c.Run()
-	if setupErr != nil {
-		return nil, setupErr
+	if err := r.finish(); err != nil {
+		return nil, err
 	}
 	res.Fault = plane.C
 	res.Plan = plane.Plan()
 	if cfg.Pipeline != nil {
-		cfg.Pipeline.Sample(c.K.Now())
 		res.JainBefore = jainWindow(cfg.Pipeline, 0, int64(crashT), -1)
-		res.JainAfter = jainWindow(cfg.Pipeline, int64(crashT), int64(endT), cfg.CrashHost)
+		res.JainAfter = jainWindow(cfg.Pipeline, int64(crashT), int64(endT), faultCrashHost)
 	}
 	return res, nil
 }
@@ -368,7 +313,7 @@ func runFaultWorkload(p *sim.Proc, cl *core.Client, cfg FaultRunConfig, host int
 			defer fin.Trigger(nil)
 			buf := make([]byte, bs)
 			for i := 0; i < n; i++ {
-				lba := rng.Uint64() % cfg.RangeBlocks
+				lba := rng.Uint64() % clientRangeBlocks
 				var err error
 				if rng.Intn(2) == 0 {
 					err = cl.ReadBlocks(wp, lba, 1, buf)

@@ -8,17 +8,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/fio"
 	"repro/internal/hostdriver"
-	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
+// clientRangeBlocks is each shared-device client's LBA working set in
+// the multihost and fault scenarios (8 MiB at 512 B blocks).
+const clientRangeBlocks = 1 << 14
+
 // MultiHostConfig parameterizes a fairness-oriented sharing run: one
 // single-function controller on host 0 (with the manager), N client
 // hosts each attaching a distributed-driver client and running the same
-// workload shape concurrently.
+// workload shape concurrently over clientRangeBlocks blocks.
 type MultiHostConfig struct {
 	// Hosts is the number of client hosts (1..31); the cluster has
 	// Hosts+1 with the device and manager on host 0.
@@ -27,18 +29,11 @@ type MultiHostConfig struct {
 	QueueDepth int
 	// IOsPerHost is the measured I/O count per client (default 200).
 	IOsPerHost int
-	// RangeBlocks is each client's LBA working-set size (default 2^14).
-	RangeBlocks uint64
 	// Seed offsets each host's workload stream (host i uses Seed+i).
 	Seed int64
 	// Op is the workload mix (zero value fio.RandRead; fairness runs
 	// usually want fio.RandRW so reads and writes both attribute).
 	Op fio.Op
-	// NVMe configures the shared controller.
-	NVMe NVMeConfig
-	// Cluster overrides fabric parameters (Hosts is set from the field
-	// above).
-	Cluster Config
 	// Client tunes each client (queue depth and partition size get
 	// workable defaults when zero).
 	Client core.ClientParams
@@ -77,9 +72,6 @@ func (cfg MultiHostConfig) withDefaults() MultiHostConfig {
 	if cfg.IOsPerHost == 0 {
 		cfg.IOsPerHost = 200
 	}
-	if cfg.RangeBlocks == 0 {
-		cfg.RangeBlocks = 1 << 14
-	}
 	if cfg.Client.QueueDepth == 0 {
 		cfg.Client.QueueDepth = cfg.QueueDepth + 1
 	}
@@ -107,7 +99,7 @@ type MultiHostResult struct {
 	// Fairness is the full-window report (nil without a Pipeline).
 	Fairness *telemetry.FairnessReport
 	// Utils maps attribution resource names to measured busy-fraction
-	// utilization over the run (see resourceUtils).
+	// utilization over the whole run (see Env.ResourceUtils).
 	Utils map[string]float64
 }
 
@@ -128,72 +120,47 @@ func (r *MultiHostResult) AggIOPS() float64 {
 // and tail-latency series available live and after the run.
 func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 	cfg = cfg.withDefaults()
-	cfg = cfg.Overlay.ApplyMultiHost(cfg)
 	if cfg.Hosts < 1 || cfg.Hosts > 31 {
 		return nil, fmt.Errorf("cluster: multihost needs 1..31 client hosts, got %d", cfg.Hosts)
 	}
-	cc := cfg.Cluster
-	cc.Hosts = cfg.Hosts + 1
+	cc := Config{Hosts: cfg.Hosts + 1}
 	if cfg.LocalBaseline {
 		cc.Hosts++
+		// The stock driver's default calibration (QD 256, 32-page PRP
+		// pools) needs more DRAM than the lean clients do.
+		cc.MemBytes = 64 << 20
 	}
-	if cc.MemBytes == 0 {
-		cc.MemBytes = 16 << 20
-		if cfg.LocalBaseline {
-			// The stock driver's default calibration (QD 256, 32-page
-			// PRP pools) needs more DRAM than the lean clients do.
-			cc.MemBytes = 64 << 20
-		}
-	}
-	if cc.AdapterWindows == 0 {
-		cc.AdapterWindows = 1024
-	}
-	c, err := New(cc)
-	if err != nil {
-		return nil, err
-	}
-	ctrl, err := c.AttachNVMe(0, cfg.NVMe)
-	if err != nil {
-		return nil, err
-	}
+	nv := cfg.Overlay.applyNVMe(NVMeConfig{})
+	client := cfg.Overlay.applyClient(cfg.Client)
 	if cfg.Tracer != nil {
-		ctrl.SetTracer(cfg.Tracer)
-		cfg.Client.Tracer = cfg.Tracer
+		client.Tracer = cfg.Tracer
 	}
-	svc := smartio.NewService(c.Dir)
-	dev, err := svc.Register(0, "nvme0", pcie.Range{Base: NVMeBARBase, Size: NVMeBARSize})
+	r, err := newRig(rigSpec{
+		cluster: cfg.Overlay.applyCluster(cc),
+		devices: []rigDevice{{"nvme0", nv}},
+		reg:     cfg.Registry, pipe: cfg.Pipeline, tracer: cfg.Tracer,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Registry != nil {
-		WireKernelMetrics(cfg.Registry, c.K)
-		for _, h := range c.Hosts {
-			WireHostMetrics(cfg.Registry, h)
-		}
-		WireControllerMetrics(cfg.Registry, ctrl)
-	}
-	if cfg.Pipeline != nil {
-		cfg.Pipeline.Attach(c.K)
-	}
+	ctrl := r.ctrls[0]
 
 	res := &MultiHostResult{}
-	var setupErr error
-	c.Go("manager", func(p *sim.Proc) {
-		mgr, err := core.NewManager(p, svc, dev.ID, c.Hosts[0].Node, core.ManagerParams{})
+	r.start("manager", func(p *sim.Proc) error {
+		mgr, err := core.NewManager(p, r.svc, r.devs[0].ID, r.Hosts[0].Node, core.ManagerParams{})
 		if err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		start := p.Now()
 		done := make([]*sim.Event, 0, cfg.Hosts)
 		for i := 1; i <= cfg.Hosts; i++ {
 			host := i
-			fin := sim.NewEvent(c.K)
+			fin := sim.NewEvent(r.K)
 			done = append(done, fin)
-			c.Go(fmt.Sprintf("host%d", host), func(cp *sim.Proc) {
+			r.Go(fmt.Sprintf("host%d", host), func(cp *sim.Proc) {
 				defer fin.Trigger(nil)
-				cl, err := core.NewClient(cp, fmt.Sprintf("dnvme%d", host), svc,
-					c.Hosts[host].Node, mgr, cfg.Client)
+				cl, err := core.NewClient(cp, fmt.Sprintf("dnvme%d", host), r.svc,
+					r.Hosts[host].Node, mgr, client)
 				if err != nil {
 					res.PerHost = append(res.PerHost, HostRun{Host: host, Err: err})
 					return
@@ -202,27 +169,29 @@ func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 					WireClientMetrics(cfg.Registry, cl, host)
 					WireControllerQueueMetrics(cfg.Registry, ctrl, cl.QID(), host)
 				}
-				q := block.NewQueue(c.K, cl, block.QueueParams{})
-				op := cfg.Op
-				r, err := fio.Run(cp, q, fio.JobSpec{
-					Name: fmt.Sprintf("host%d", host), Op: op,
+				q := block.NewQueue(r.K, cl, block.QueueParams{})
+				job, err := fio.Run(cp, q, fio.JobSpec{
+					Name: fmt.Sprintf("host%d", host), Op: cfg.Op,
 					QueueDepth: cfg.QueueDepth, MaxIOs: cfg.IOsPerHost,
-					RangeBlocks: cfg.RangeBlocks, Seed: cfg.Seed + int64(host),
+					RangeBlocks: clientRangeBlocks, Seed: cfg.Seed + int64(host),
 				})
-				res.PerHost = append(res.PerHost, HostRun{Host: host, Res: r, Err: err})
+				res.PerHost = append(res.PerHost, HostRun{Host: host, Res: job, Err: err})
 			})
 		}
 		p.WaitAll(done...)
 		res.ElapsedNs = p.Now() - start
+		return nil
 	})
 	if cfg.LocalBaseline {
+		// Attached after the manager spawns: the controller's own process
+		// then follows it in scheduling order.
 		base := cfg.Hosts + 1
-		bctrl, err := c.AttachNVMe(base, cfg.NVMe)
+		bctrl, err := r.AttachNVMe(base, nv)
 		if err != nil {
 			return nil, err
 		}
-		c.Go("baseline", func(p *sim.Proc) {
-			drv, err := hostdriver.New(p, "nvme-local", c.Hosts[base].Port,
+		r.Go("baseline", func(p *sim.Proc) {
+			drv, err := hostdriver.New(p, "nvme-local", r.Hosts[base].Port,
 				NVMeBARBase, bctrl, hostdriver.Params{})
 			if err != nil {
 				res.PerHost = append(res.PerHost, HostRun{Host: base, Err: err})
@@ -234,29 +203,25 @@ func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 					WireControllerQueueMetrics(cfg.Registry, bctrl, qid, base)
 				}
 			}
-			q := block.NewQueue(c.K, drv, block.QueueParams{})
+			q := block.NewQueue(r.K, drv, block.QueueParams{})
 			if cfg.Registry != nil {
 				// The stock driver has no client-side completion hook, so
 				// the baseline's host.latency fairness input comes from the
 				// block layer (submit-to-completion, same end-to-end span).
 				q.SetLatencyHist(cfg.Registry.Histogram("host.latency", trace.L("host", base)).Hist())
 			}
-			r, err := fio.Run(p, q, fio.JobSpec{
+			job, err := fio.Run(p, q, fio.JobSpec{
 				Name: "baseline", Op: cfg.Op,
 				QueueDepth: cfg.QueueDepth, MaxIOs: cfg.IOsPerHost,
-				RangeBlocks: cfg.RangeBlocks, Seed: cfg.Seed + int64(base),
+				RangeBlocks: clientRangeBlocks, Seed: cfg.Seed + int64(base),
 			})
-			res.PerHost = append(res.PerHost, HostRun{Host: base, Res: r, Err: err})
+			res.PerHost = append(res.PerHost, HostRun{Host: base, Res: job, Err: err})
 		})
 	}
-	c.Run()
-	if setupErr != nil {
-		return nil, setupErr
+	if err := r.finish(); err != nil {
+		return nil, err
 	}
 	if cfg.Pipeline != nil {
-		// Flush the tail below one sampling interval (and anything at
-		// the final instant: ticks fire before same-time completions).
-		cfg.Pipeline.Sample(c.K.Now())
 		f := cfg.Pipeline.Fairness(0)
 		res.Fairness = &f
 	}
@@ -266,6 +231,6 @@ func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 			res.TotalIOs += hr.Res.IOs + hr.Res.Errors
 		}
 	}
-	res.Utils = resourceUtils(ctrl, c.Hosts, int64(c.K.Now()))
+	res.Utils = (&Env{Cluster: r.Cluster, Ctrl: ctrl}).ResourceUtils(nil)
 	return res, nil
 }

@@ -240,14 +240,3 @@ func (o LatencyOverlay) ApplyScenario(cfg ScenarioConfig) ScenarioConfig {
 	cfg.HostDriver = o.applyHostDriver(cfg.HostDriver)
 	return cfg
 }
-
-// ApplyMultiHost is ApplyScenario for the fairness scenario.
-func (o LatencyOverlay) ApplyMultiHost(cfg MultiHostConfig) MultiHostConfig {
-	if len(o) == 0 {
-		return cfg
-	}
-	cfg.Cluster = o.applyCluster(cfg.Cluster)
-	cfg.NVMe = o.applyNVMe(cfg.NVMe)
-	cfg.Client = o.applyClient(cfg.Client)
-	return cfg
-}

@@ -5,10 +5,8 @@ import (
 
 	"repro/internal/arrival"
 	"repro/internal/core"
-	"repro/internal/pcie"
 	"repro/internal/qos"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -29,6 +27,44 @@ const (
 // QoSScenarios lists the supported scenario names.
 func QoSScenarios() []string { return []string{QoSNoisyNeighbor, QoSLatencySensitive} }
 
+// The QoS scenarios' fixed tenant populations, queue depths and SLOs.
+const (
+	// qosSeed drives the arrival streams.
+	qosSeed uint64 = 42
+	// qosLatencyTenants and qosNoisyTenants size the populations: the
+	// "hundreds of tenants onto one queue pair" regime.
+	qosLatencyTenants = 100
+	qosNoisyTenants   = 100
+	// qosLatencyRateHz and qosNoisyRateHz are per-tenant base rates
+	// before RateScale. The noisy rate is the MMPP on-state rate,
+	// duty-cycled to a fifth of that on average; the noisy fleet's
+	// on-state bursts alone oversubscribe the Optane-class device's
+	// ~800k IOPS of channel capacity.
+	qosLatencyRateHz = 400
+	qosNoisyRateHz   = 25000
+	// qosLatencyQD is the latency client's queue depth. qosNoisyQD is
+	// deep enough to fill the controller's shared inflight window, which
+	// is exactly how a bulk workload interferes with everyone else.
+	qosLatencyQD = 16
+	qosNoisyQD   = 64
+	// qosWindowNs is the SLO evaluation window.
+	qosWindowNs = sim.Millisecond
+	// The latency class's p99 budget is ample against its ~25µs
+	// uncontended p99 and blown when the noisy class keeps the device's
+	// inflight window full.
+	qosP99SLONs  = 80 * sim.Microsecond
+	qosP999SLONs = 200 * sim.Microsecond
+	// qosNoisyP99SLONs is the noisy class's own loose budget: the lever
+	// admission control uses to make an overdriving tenant back off.
+	qosNoisyP99SLONs = 300 * sim.Microsecond
+	// qosViolationBudget is the tolerated fraction of SLO-violating
+	// windows before a class counts as failing: one bad window in ten is
+	// noise, more is interference.
+	qosViolationBudget = 0.10
+	// qosSpanBlocks is the LBA span the arrival engines draw from.
+	qosSpanBlocks = 1 << 16
+)
+
 // QoSRunConfig parameterizes RunQoSScenario.
 type QoSRunConfig struct {
 	// Scenario selects the tenant mix (default QoSNoisyNeighbor).
@@ -43,46 +79,7 @@ type QoSRunConfig struct {
 	RateScale float64
 	// DurationNs is the generation horizon (default 20ms virtual).
 	DurationNs int64
-	// Seed drives arrival streams (default 42).
-	Seed uint64
 
-	// LatencyTenants / NoisyTenants size the populations (defaults 100 /
-	// 100 — the "hundreds of tenants onto one queue pair" regime).
-	LatencyTenants int
-	NoisyTenants   int
-	// LatencyRateHz / NoisyRateHz are per-tenant base rates before
-	// RateScale (defaults 400 / 25000; the noisy rate is the MMPP
-	// on-state rate, duty-cycled to a fifth of that on average — at the
-	// defaults the noisy fleet's on-state bursts alone oversubscribe the
-	// Optane-class device's ~800k IOPS of channel capacity).
-	LatencyRateHz float64
-	NoisyRateHz   float64
-
-	// QueueDepth is the latency client's queue depth (default 16).
-	QueueDepth int
-	// NoisyQueueDepth is the noisy client's queue depth (default 64 —
-	// deep enough to fill the controller's shared inflight window, which
-	// is exactly how a bulk workload interferes with everyone else).
-	NoisyQueueDepth int
-	// WindowNs is the SLO evaluation window (default 1ms).
-	WindowNs int64
-	// P99SLONs is the latency class's p99 budget (default 80µs: ample
-	// against the ~25µs uncontended p99, blown when the noisy class
-	// keeps the device's inflight window full).
-	P99SLONs int64
-	// P999SLONs is the latency class's p99.9 budget (default 200µs).
-	P999SLONs int64
-	// NoisyP99SLONs is the noisy class's own (loose) budget — the lever
-	// admission control uses to make an overdriving tenant back off
-	// (default 400µs).
-	NoisyP99SLONs int64
-	// ViolationBudget is the tolerated fraction of SLO-violating windows
-	// before a class counts as failing (default 0.05: one bad window in
-	// twenty is noise, more is interference).
-	ViolationBudget float64
-
-	NVMe     NVMeConfig
-	Cluster  Config
 	Registry *trace.Registry
 	Pipeline *telemetry.Pipeline
 	Tracer   *trace.Tracer
@@ -97,42 +94,6 @@ func (cfg QoSRunConfig) withDefaults() QoSRunConfig {
 	}
 	if cfg.DurationNs == 0 {
 		cfg.DurationNs = 20 * sim.Millisecond
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
-	}
-	if cfg.LatencyTenants == 0 {
-		cfg.LatencyTenants = 100
-	}
-	if cfg.NoisyTenants == 0 {
-		cfg.NoisyTenants = 100
-	}
-	if cfg.LatencyRateHz == 0 {
-		cfg.LatencyRateHz = 400
-	}
-	if cfg.NoisyRateHz == 0 {
-		cfg.NoisyRateHz = 25000
-	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = 16
-	}
-	if cfg.NoisyQueueDepth == 0 {
-		cfg.NoisyQueueDepth = 64
-	}
-	if cfg.WindowNs == 0 {
-		cfg.WindowNs = int64(sim.Millisecond)
-	}
-	if cfg.P99SLONs == 0 {
-		cfg.P99SLONs = 80 * sim.Microsecond
-	}
-	if cfg.P999SLONs == 0 {
-		cfg.P999SLONs = 200 * sim.Microsecond
-	}
-	if cfg.NoisyP99SLONs == 0 {
-		cfg.NoisyP99SLONs = 300 * sim.Microsecond
-	}
-	if cfg.ViolationBudget == 0 {
-		cfg.ViolationBudget = 0.10
 	}
 	return cfg
 }
@@ -207,17 +168,17 @@ func classesFor(cfg QoSRunConfig) ([]qosClass, error) {
 	latency := qosClass{
 		name: "latency",
 		prio: core.PrioHigh,
-		qd:   cfg.QueueDepth,
-		specs: arrival.Fleet(cfg.LatencyTenants, arrival.TenantSpec{
+		qd:   qosLatencyQD,
+		specs: arrival.Fleet(qosLatencyTenants, arrival.TenantSpec{
 			Name:           "lat",
 			Kind:           arrival.Poisson,
-			RateHz:         cfg.LatencyRateHz * cfg.RateScale,
+			RateHz:         qosLatencyRateHz * cfg.RateScale,
 			ReadFrac:       1.0,
 			MaxOutstanding: 4,
 		}),
-		slo:    qos.SLO{P99Ns: cfg.P99SLONs, P999Ns: cfg.P999SLONs},
+		slo:    qos.SLO{P99Ns: qosP99SLONs, P999Ns: qosP999SLONs},
 		exempt: true,
-		rateHz: float64(cfg.LatencyTenants) * cfg.LatencyRateHz * cfg.RateScale,
+		rateHz: qosLatencyTenants * qosLatencyRateHz * cfg.RateScale,
 	}
 	switch cfg.Scenario {
 	case QoSNoisyNeighbor:
@@ -226,26 +187,26 @@ func classesFor(cfg QoSRunConfig) ([]qosClass, error) {
 		noisy := qosClass{
 			name: "noisy",
 			prio: core.PrioLow,
-			qd:   cfg.NoisyQueueDepth,
-			specs: arrival.Fleet(cfg.NoisyTenants, arrival.TenantSpec{
+			qd:   qosNoisyQD,
+			specs: arrival.Fleet(qosNoisyTenants, arrival.TenantSpec{
 				Name:           "noisy",
 				Kind:           arrival.MMPP,
-				RateHz:         cfg.NoisyRateHz * cfg.RateScale,
+				RateHz:         qosNoisyRateHz * cfg.RateScale,
 				OnMeanNs:       2 * sim.Millisecond,
 				OffMeanNs:      8 * sim.Millisecond,
 				ReadFrac:       0.3,
 				MaxOutstanding: 8,
 			}),
-			slo:    qos.SLO{P99Ns: cfg.NoisyP99SLONs},
-			rateHz: float64(cfg.NoisyTenants) * cfg.NoisyRateHz * cfg.RateScale * 0.2,
+			slo:    qos.SLO{P99Ns: qosNoisyP99SLONs},
+			rateHz: qosNoisyTenants * qosNoisyRateHz * cfg.RateScale * 0.2,
 		}
 		return []qosClass{latency, noisy}, nil
 	case QoSLatencySensitive:
 		second := latency
-		second.specs = arrival.Fleet(cfg.LatencyTenants, arrival.TenantSpec{
+		second.specs = arrival.Fleet(qosLatencyTenants, arrival.TenantSpec{
 			Name:           "lat2",
 			Kind:           arrival.Poisson,
-			RateHz:         cfg.LatencyRateHz * cfg.RateScale,
+			RateHz:         qosLatencyRateHz * cfg.RateScale,
 			ReadFrac:       1.0,
 			MaxOutstanding: 4,
 		})
@@ -293,47 +254,21 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	cc := cfg.Cluster
-	cc.Hosts = len(classes) + 1
-	if cc.MemBytes == 0 {
-		cc.MemBytes = 16 << 20
-	}
-	if cc.AdapterWindows == 0 {
-		cc.AdapterWindows = 1024
-	}
-	c, err := New(cc)
+	r, err := newRig(rigSpec{
+		cluster: Config{Hosts: len(classes) + 1},
+		devices: []rigDevice{{"nvme0", NVMeConfig{}}},
+		reg:     cfg.Registry, pipe: cfg.Pipeline, tracer: cfg.Tracer,
+	})
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := c.AttachNVMe(0, cfg.NVMe)
-	if err != nil {
-		return nil, err
-	}
-	ctrl.SetTracer(cfg.Tracer)
-	svc := smartio.NewService(c.Dir)
-	dev, err := svc.Register(0, "nvme0", pcie.Range{Base: NVMeBARBase, Size: NVMeBARSize})
-	if err != nil {
-		return nil, err
-	}
-
-	if cfg.Registry != nil {
-		WireKernelMetrics(cfg.Registry, c.K)
-		for _, h := range c.Hosts {
-			WireHostMetrics(cfg.Registry, h)
-		}
-		WireControllerMetrics(cfg.Registry, ctrl)
-	}
-	if cfg.Pipeline != nil {
-		cfg.Pipeline.Attach(c.K)
-	}
+	ctrl := r.ctrls[0]
 
 	res := &QoSRunResult{Scenario: cfg.Scenario, QoS: cfg.QoS, RateScale: cfg.RateScale}
 	for _, qc := range classes {
 		res.OfferedIOPS += qc.rateHz
 	}
-	var setupErr error
-	c.Go("qos-run", func(p *sim.Proc) {
+	r.start("qos-run", func(p *sim.Proc) error {
 		mgrParams := core.ManagerParams{}
 		if cfg.QoS {
 			// Burst 4, weights high 8 / medium 4 / low 1: the latency
@@ -341,10 +276,9 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 			// backlogged, without ever starving it.
 			mgrParams.WRR = &core.ArbConfig{Burst: 2, HPW: 7, MPW: 3, LPW: 0}
 		}
-		mgr, err := core.NewManager(p, svc, dev.ID, c.Hosts[0].Node, mgrParams)
+		mgr, err := core.NewManager(p, r.svc, r.devs[0].ID, r.Hosts[0].Node, mgrParams)
 		if err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		start := p.Now()
 
@@ -357,18 +291,15 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 			params := core.ClientParams{
 				QueueDepth:     qc.qd,
 				PartitionBytes: 64 << 10,
+				Tracer:         cfg.Tracer,
 			}
 			if cfg.QoS {
 				params.Priority = qc.prio
 			}
-			if cfg.Tracer != nil {
-				params.Tracer = cfg.Tracer
-			}
-			cl, err := core.NewClient(p, fmt.Sprintf("dnvme%d", host), svc,
-				c.Hosts[host].Node, mgr, params)
+			cl, err := core.NewClient(p, fmt.Sprintf("dnvme%d", host), r.svc,
+				r.Hosts[host].Node, mgr, params)
 			if err != nil {
-				setupErr = err
-				return
+				return err
 			}
 			clients[ci] = cl
 
@@ -376,8 +307,8 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 			for i, s := range qc.specs {
 				tenants[i] = qos.TenantConfig{Name: s.Name, SLO: qc.slo, Exempt: qc.exempt}
 			}
-			qctrl := qos.NewController(c.K, qos.Params{
-				WindowNs: cfg.WindowNs,
+			qctrl := qos.NewController(r.K, qos.Params{
+				WindowNs: qosWindowNs,
 				// Trip on the first bad window, back off hard, recover
 				// slowly: a bursty aggressor must not shake the throttle
 				// loose during every off-dwell.
@@ -391,17 +322,10 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 			}
 
 			bs := cl.BlockSize()
-			span := cfg.NVMe.Blocks
-			if span == 0 {
-				span = (4 << 30) / uint64(bs)
-			}
-			if span > 1<<16 {
-				span = 1 << 16
-			}
 			eng, err := arrival.New(arrival.Config{
-				Seed:       cfg.Seed + uint64(ci)*0x9E37,
+				Seed:       qosSeed + uint64(ci)*0x9E37,
 				Tenants:    qc.specs,
-				SpanBlocks: span,
+				SpanBlocks: qosSpanBlocks,
 				Shed:       core.ErrShed,
 				Submit: func(wp *sim.Proc, tenant int, read bool, lba uint64, nblk int) error {
 					buf := make([]byte, nblk*bs)
@@ -418,8 +342,7 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 				HorizonNs: cfg.DurationNs,
 			})
 			if err != nil {
-				setupErr = err
-				return
+				return err
 			}
 			engines[ci] = eng
 			if cfg.Registry != nil {
@@ -428,7 +351,7 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 				WireQoSMetrics(cfg.Registry, qctrl, qc.name)
 				WireArrivalMetrics(cfg.Registry, eng, qc.name)
 			}
-			gp := c.K.Spawn(fmt.Sprintf("arrival/%s", qc.name), eng.Run)
+			gp := r.K.Spawn(fmt.Sprintf("arrival/%s", qc.name), eng.Run)
 			gens = append(gens, gp.Exited())
 		}
 		p.WaitAll(gens...)
@@ -479,7 +402,7 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 			if meanN > 0 {
 				cr.MeanNs = sumMean / meanN
 			}
-			cr.SLOMet = float64(cr.Violations) <= cfg.ViolationBudget*float64(cr.Windows)
+			cr.SLOMet = float64(cr.Violations) <= qosViolationBudget*float64(cr.Windows)
 			res.Classes = append(res.Classes, cr)
 
 			digest = digest*0x100000001b3 ^ eng.Digest()
@@ -492,13 +415,10 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 		res.ArrivalDigest = fmt.Sprintf("%016x", digest)
 		res.ElapsedNs = int64(p.Now() - start)
 		res.SLOMet = res.Classes[0].SLOMet
+		return nil
 	})
-	c.Run()
-	if setupErr != nil {
-		return nil, setupErr
-	}
-	if cfg.Pipeline != nil {
-		cfg.Pipeline.Sample(c.K.Now())
+	if err := r.finish(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -53,11 +53,6 @@ type ScenarioConfig struct {
 	Manager core.ManagerParams
 	// HostDriver tunes the stock driver (linux-local).
 	HostDriver hostdriver.Params
-	// Target and Initiator tune the NVMe-oF pair (nvmeof-remote).
-	Target    nvmeof.TargetParams
-	Initiator nvmeof.InitiatorParams
-	// BlockQueue tunes the block layer shared by every scenario.
-	BlockQueue block.QueueParams
 	// Overlay scales calibrated latency knobs for counterfactual
 	// experiments (see LatencyOverlay); nil is the identity. It is
 	// applied over the fields above with defaults materialized, so an
@@ -121,7 +116,6 @@ func bringUp(p *sim.Proc, s Scenario, c *Cluster, ctrl *nvme.Controller, cfg Sce
 	if cfg.Tracer != nil {
 		cfg.HostDriver.Tracer = cfg.Tracer
 		cfg.Client.Tracer = cfg.Tracer
-		cfg.Initiator.Tracer = cfg.Tracer
 	}
 	env := &Env{Scenario: s, Cluster: c, Ctrl: ctrl}
 	switch s {
@@ -131,7 +125,7 @@ func bringUp(p *sim.Proc, s Scenario, c *Cluster, ctrl *nvme.Controller, cfg Sce
 			return nil, err
 		}
 		env.Driver = drv
-		env.Queue = block.NewQueue(c.K, drv, cfg.BlockQueue)
+		env.Queue = block.NewQueue(c.K, drv, block.QueueParams{})
 		return env, nil
 
 	case OursLocal, OursRemote:
@@ -153,7 +147,7 @@ func bringUp(p *sim.Proc, s Scenario, c *Cluster, ctrl *nvme.Controller, cfg Sce
 			return nil, err
 		}
 		env.Client = cl
-		env.Queue = block.NewQueue(c.K, cl, cfg.BlockQueue)
+		env.Queue = block.NewQueue(c.K, cl, block.QueueParams{})
 		return env, nil
 
 	case NVMeoFRemote:
@@ -168,19 +162,20 @@ func bringUp(p *sim.Proc, s Scenario, c *Cluster, ctrl *nvme.Controller, cfg Sce
 		nicI := attach(c.Hosts[1], "cx5-init")
 		qpT, qpI := nicT.NewQP(), nicI.NewQP()
 		rdma.Connect(qpT, qpI)
-		tgt, err := nvmeof.NewTarget(p, c.Hosts[0].Port, NVMeBARBase, cfg.Target)
+		tgt, err := nvmeof.NewTarget(p, c.Hosts[0].Port, NVMeBARBase, nvmeof.TargetParams{})
 		if err != nil {
 			return nil, err
 		}
 		if err := tgt.Serve(p, qpT); err != nil {
 			return nil, err
 		}
-		ini, err := nvmeof.NewInitiator(p, "nvme1n1", c.Hosts[1].Port, qpI, cfg.Initiator)
+		ini, err := nvmeof.NewInitiator(p, "nvme1n1", c.Hosts[1].Port, qpI,
+			nvmeof.InitiatorParams{Tracer: cfg.Tracer})
 		if err != nil {
 			return nil, err
 		}
 		env.Target, env.Initiator = tgt, ini
-		env.Queue = block.NewQueue(c.K, ini, cfg.BlockQueue)
+		env.Queue = block.NewQueue(c.K, ini, block.QueueParams{})
 		return env, nil
 	}
 	return nil, fmt.Errorf("cluster: unknown scenario %q", s)
@@ -223,20 +218,16 @@ type SimStats struct {
 
 // RunJobStats is RunJob plus kernel statistics from the run.
 func RunJobStats(s Scenario, cfg ScenarioConfig, spec fio.JobSpec) (*fio.Result, SimStats, error) {
-	c, ctrl, err := Build(s, cfg)
-	if err != nil {
+	var res *fio.Result
+	var k *sim.Kernel
+	err := RunWorkload(s, cfg, func(p *sim.Proc, env *Env) error {
+		k = env.Cluster.K
+		var err error
+		res, err = fio.Run(p, env.Queue, spec)
+		return err
+	})
+	if k == nil {
 		return nil, SimStats{}, err
 	}
-	var res *fio.Result
-	var runErr error
-	c.Go(string(s), func(p *sim.Proc) {
-		env, err := bringUp(p, s, c, ctrl, cfg)
-		if err != nil {
-			runErr = err
-			return
-		}
-		res, runErr = fio.Run(p, env.Queue, spec)
-	})
-	c.Run()
-	return res, SimStats{Events: c.K.Executed(), VirtualNs: c.K.Now()}, runErr
+	return res, SimStats{Events: k.Executed(), VirtualNs: k.Now()}, err
 }

@@ -8,12 +8,27 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nvme"
-	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/volume"
+)
+
+// The volume scenario's fixed working set, outage and path-client
+// timings.
+const (
+	// volumeRangePerWorker is each worker's private LBA range.
+	volumeRangePerWorker = 64
+	// volumeLinkDownNs is the outage on the device-A host's adapter,
+	// starting when phase 2 begins; after volumeDetectNs the nexus
+	// declares path A dead and fences it.
+	volumeLinkDownNs = 400 * sim.Microsecond
+	volumeDetectNs   = 100 * sim.Microsecond
+	// volumeIOTimeoutNs is the path clients' command timeout.
+	volumeIOTimeoutNs = 100 * sim.Microsecond
+	// volumeMaxRetries is 1 because the nexus is the retry layer during
+	// an outage.
+	volumeMaxRetries = 1
 )
 
 // VolumeRunConfig parameterizes the nexus-volume fault scenario: a
@@ -26,28 +41,11 @@ type VolumeRunConfig struct {
 	Workers int
 	// IOsPerWorker is each worker's write budget per phase (default 150).
 	IOsPerWorker int
-	// RangePerWorker is each worker's private LBA range (default 64).
-	RangePerWorker uint64
 	// QueueDepth is each path client's queue depth (default 8).
 	QueueDepth int
 	// Seed drives the two devices' medium calibration.
 	Seed int64
 
-	// LinkDownNs is the outage duration on the device-A host's adapter
-	// (default 400µs). The outage starts when phase 2 begins.
-	LinkDownNs int64
-	// DetectNs is the delay from outage start until the nexus declares
-	// path A dead and fences it (default 100µs).
-	DetectNs int64
-
-	// IOTimeoutNs is the path clients' command timeout (default 100µs).
-	IOTimeoutNs int64
-	// MaxRetries bounds each path client's internal retries (default 1:
-	// the nexus is the retry layer during an outage).
-	MaxRetries int
-
-	NVMe     NVMeConfig
-	Cluster  Config
 	Registry *trace.Registry
 	Pipeline *telemetry.Pipeline
 }
@@ -59,23 +57,8 @@ func (cfg VolumeRunConfig) withDefaults() VolumeRunConfig {
 	if cfg.IOsPerWorker == 0 {
 		cfg.IOsPerWorker = 150
 	}
-	if cfg.RangePerWorker == 0 {
-		cfg.RangePerWorker = 64
-	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 8
-	}
-	if cfg.LinkDownNs == 0 {
-		cfg.LinkDownNs = 400 * sim.Microsecond
-	}
-	if cfg.DetectNs == 0 {
-		cfg.DetectNs = 100 * sim.Microsecond
-	}
-	if cfg.IOTimeoutNs == 0 {
-		cfg.IOTimeoutNs = 100 * sim.Microsecond
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 1
 	}
 	return cfg
 }
@@ -160,7 +143,7 @@ func volumePattern(buf []byte, lba uint64, gen int) {
 //  2. Phase 1 mirrors a write workload to both replicas.
 //  3. The NTB link of device A's host goes down mid-traffic (phase 2
 //     starts concurrently). Writes continue degraded on path B.
-//  4. After DetectNs the nexus fences the dead path: a fence client
+//  4. After volumeDetectNs the nexus fences the dead path: a fence client
 //     local to device A's host registers a fresh key and issues
 //     preempt-and-abort on path A's key. Path A is inaccessible.
 //  5. After the link recovers, the stale path-A client writes directly:
@@ -170,53 +153,18 @@ func volumePattern(buf []byte, lba uint64, gen int) {
 //     against a reference image — zero lost writes.
 func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 	cfg = cfg.withDefaults()
-	cc := cfg.Cluster
-	cc.Hosts = 3
-	if cc.MemBytes == 0 {
-		cc.MemBytes = 16 << 20
-	}
-	if cc.AdapterWindows == 0 {
-		cc.AdapterWindows = 1024
-	}
-	c, err := New(cc)
+	r, err := newRig(rigSpec{
+		cluster: Config{Hosts: 3},
+		devices: []rigDevice{
+			{"nvmeA", NVMeConfig{Seed: cfg.Seed + 1}},
+			{"nvmeB", NVMeConfig{Seed: cfg.Seed + 2}},
+		},
+		reg: cfg.Registry, pipe: cfg.Pipeline,
+	})
 	if err != nil {
 		return nil, err
 	}
-	nvA := cfg.NVMe
-	if nvA.Seed == 0 {
-		nvA.Seed = cfg.Seed + 1
-	}
-	nvB := cfg.NVMe
-	if nvB.Seed == 0 {
-		nvB.Seed = cfg.Seed + 2
-	}
-	ctrlA, err := c.AttachNVMe(0, nvA)
-	if err != nil {
-		return nil, err
-	}
-	ctrlB, err := c.AttachNVMe(1, nvB)
-	if err != nil {
-		return nil, err
-	}
-	svc := smartio.NewService(c.Dir)
-	devA, err := svc.Register(0, "nvmeA", pcie.Range{Base: NVMeBARBase, Size: NVMeBARSize})
-	if err != nil {
-		return nil, err
-	}
-	devB, err := svc.Register(1, "nvmeB", pcie.Range{Base: NVMeBARBase, Size: NVMeBARSize})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Registry != nil {
-		WireKernelMetrics(cfg.Registry, c.K)
-		for _, h := range c.Hosts {
-			WireHostMetrics(cfg.Registry, h)
-		}
-		WireControllerMetrics(cfg.Registry, ctrlA)
-	}
-	if cfg.Pipeline != nil {
-		cfg.Pipeline.Attach(c.K)
-	}
+	ctrlA, ctrlB := r.ctrls[0], r.ctrls[1]
 
 	const (
 		keyA     = 0x0A11
@@ -224,52 +172,43 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 		fenceKey = 0xFE2C
 	)
 	res := &VolumeRunResult{}
-	var setupErr error
-	c.Go("volume", func(p *sim.Proc) {
+	r.start("volume", func(p *sim.Proc) error {
 		start := p.Now()
-		mgrA, err := core.NewManager(p, svc, devA.ID, c.Hosts[0].Node, core.ManagerParams{})
+		mgrA, err := core.NewManager(p, r.svc, r.devs[0].ID, r.Hosts[0].Node, core.ManagerParams{})
 		if err != nil {
-			setupErr = fmt.Errorf("manager A: %w", err)
-			return
+			return fmt.Errorf("manager A: %w", err)
 		}
-		mgrB, err := core.NewManager(p, svc, devB.ID, c.Hosts[1].Node, core.ManagerParams{})
+		mgrB, err := core.NewManager(p, r.svc, r.devs[1].ID, r.Hosts[1].Node, core.ManagerParams{})
 		if err != nil {
-			setupErr = fmt.Errorf("manager B: %w", err)
-			return
+			return fmt.Errorf("manager B: %w", err)
 		}
 		cp := core.ClientParams{
 			QueueDepth:     cfg.QueueDepth,
 			PartitionBytes: 16 << 10,
-			IOTimeoutNs:    cfg.IOTimeoutNs,
-			MaxRetries:     cfg.MaxRetries,
+			IOTimeoutNs:    volumeIOTimeoutNs,
+			MaxRetries:     volumeMaxRetries,
 		}
-		clA, err := core.NewClient(p, "pathA", svc, c.Hosts[2].Node, mgrA, cp)
+		clA, err := core.NewClient(p, "pathA", r.svc, r.Hosts[2].Node, mgrA, cp)
 		if err != nil {
-			setupErr = fmt.Errorf("path A client: %w", err)
-			return
+			return fmt.Errorf("path A client: %w", err)
 		}
-		clB, err := core.NewClient(p, "pathB", svc, c.Hosts[2].Node, mgrB, cp)
+		clB, err := core.NewClient(p, "pathB", r.svc, r.Hosts[2].Node, mgrB, cp)
 		if err != nil {
-			setupErr = fmt.Errorf("path B client: %w", err)
-			return
+			return fmt.Errorf("path B client: %w", err)
 		}
 		// Each path registers and holds Write Exclusive on its own
 		// controller: the fence below preempts exactly this registration.
 		if err := clA.ResvRegister(p, nvme.ResvRegisterKey, 0, keyA, 2); err != nil {
-			setupErr = fmt.Errorf("path A register: %w", err)
-			return
+			return fmt.Errorf("path A register: %w", err)
 		}
 		if err := clA.ResvAcquire(p, nvme.ResvAcquireAct, nvme.ResvWriteExclusive, keyA, 0); err != nil {
-			setupErr = fmt.Errorf("path A acquire: %w", err)
-			return
+			return fmt.Errorf("path A acquire: %w", err)
 		}
 		if err := clB.ResvRegister(p, nvme.ResvRegisterKey, 0, keyB, 2); err != nil {
-			setupErr = fmt.Errorf("path B register: %w", err)
-			return
+			return fmt.Errorf("path B register: %w", err)
 		}
 		if err := clB.ResvAcquire(p, nvme.ResvAcquireAct, nvme.ResvWriteExclusive, keyB, 0); err != nil {
-			setupErr = fmt.Errorf("path B acquire: %w", err)
-			return
+			return fmt.Errorf("path B acquire: %w", err)
 		}
 
 		// The fence: a fresh client on device A's own host (everything
@@ -281,7 +220,7 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 			if path != 0 {
 				return fmt.Errorf("cluster: unexpected fence of path %d", path)
 			}
-			fc, err := core.NewClient(fp, "fenceA", svc, c.Hosts[0].Node, mgrA,
+			fc, err := core.NewClient(fp, "fenceA", r.svc, r.Hosts[0].Node, mgrA,
 				core.ClientParams{QueueDepth: 4, PartitionBytes: 16 << 10})
 			if err != nil {
 				return err
@@ -292,17 +231,16 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 			}
 			return fc.ResvAcquire(fp, nvme.ResvPreemptAndAbort, nvme.ResvWriteExclusive, fenceKey, keyA)
 		}
-		nx, err := volume.New("nexus0", c.K, clA, clB, fence)
+		nx, err := volume.New("nexus0", r.K, clA, clB, fence)
 		if err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		if cfg.Registry != nil {
 			WireNexusMetrics(cfg.Registry, nx)
 		}
 
 		bs := uint64(nx.BlockSize())
-		totalBlocks := uint64(cfg.Workers) * cfg.RangePerWorker
+		totalBlocks := uint64(cfg.Workers) * volumeRangePerWorker
 		ref := make([]byte, totalBlocks*bs)
 		written := make([]bool, totalBlocks)
 
@@ -315,13 +253,13 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 			errsW := make([]int, cfg.Workers)
 			for w := 0; w < cfg.Workers; w++ {
 				w := w
-				fins[w] = sim.NewEvent(c.K)
-				c.Go(fmt.Sprintf("phase%d/w%d", gen, w), func(wp *sim.Proc) {
+				fins[w] = sim.NewEvent(r.K)
+				r.Go(fmt.Sprintf("phase%d/w%d", gen, w), func(wp *sim.Proc) {
 					defer fins[w].Trigger(nil)
-					base := uint64(w) * cfg.RangePerWorker
+					base := uint64(w) * volumeRangePerWorker
 					buf := make([]byte, bs)
 					for i := 0; i < cfg.IOsPerWorker; i++ {
-						lba := base + uint64(i)%cfg.RangePerWorker
+						lba := base + uint64(i)%volumeRangePerWorker
 						volumePattern(buf, lba, gen)
 						if err := nx.WriteBlocks(wp, lba, 1, buf); err != nil {
 							errsW[w]++
@@ -349,29 +287,28 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 
 		// Phase 2: device A's host drops off the fabric mid-traffic.
 		downAt := p.Now()
-		c.Hosts[0].Adapter.InjectLinkDown(cfg.LinkDownNs)
+		r.Hosts[0].Adapter.InjectLinkDown(volumeLinkDownNs)
 		fins := make([]*sim.Event, 1)
-		fins[0] = sim.NewEvent(c.K)
-		c.Go("phase2", func(wp *sim.Proc) {
+		fins[0] = sim.NewEvent(r.K)
+		r.Go("phase2", func(wp *sim.Proc) {
 			defer fins[0].Trigger(nil)
 			res.Phase2Acked, errs2 = runPhase(wp, 2)
 		})
-		// Detection: after DetectNs of failures the nexus fences the
+		// Detection: after volumeDetectNs of failures the nexus fences the
 		// dead path (reservation preempt through the local fence client).
-		p.Sleep(cfg.DetectNs)
+		p.Sleep(volumeDetectNs)
 		if err := nx.FencePath(p, 0); err != nil {
-			setupErr = fmt.Errorf("fence: %w", err)
-			return
+			return fmt.Errorf("fence: %w", err)
 		}
 		p.WaitAll(fins[0])
 		res.WriteErrors = errs1 + errs2
 
 		// Wait out the rest of the outage so the stale client's probe
 		// actually reaches controller A (plus margin for late CQEs).
-		if rem := int64(downAt) + cfg.LinkDownNs - int64(p.Now()); rem > 0 {
+		if rem := int64(downAt) + volumeLinkDownNs - int64(p.Now()); rem > 0 {
 			p.Sleep(rem)
 		}
-		p.Sleep(2 * cfg.IOTimeoutNs)
+		p.Sleep(2 * volumeIOTimeoutNs)
 
 		// The stale writer: path A's original client still holds its
 		// queue pair and tries to write. The fence must answer with
@@ -427,31 +364,25 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 		// Teardown: the stale client closes last (its Close drains any
 		// still-quarantined slots from the outage window).
 		if err := clB.Close(p); err != nil {
-			setupErr = fmt.Errorf("path B close: %w", err)
-			return
+			return fmt.Errorf("path B close: %w", err)
 		}
 		if err := clA.Close(p); err != nil {
-			setupErr = fmt.Errorf("path A close: %w", err)
-			return
+			return fmt.Errorf("path A close: %w", err)
 		}
 		res.PathALateCQEs = clA.LateCompletions
 		res.PathAAbandoned = clA.AbandonedSlots
 		if fenceClient != nil {
 			if err := fenceClient.Close(p); err != nil {
-				setupErr = fmt.Errorf("fence close: %w", err)
-				return
+				return fmt.Errorf("fence close: %w", err)
 			}
 		}
 		res.CtrlAFatal = ctrlA.Fatal()
 		res.CtrlBFatal = ctrlB.Fatal()
 		res.ElapsedNs = int64(p.Now() - start)
+		return nil
 	})
-	c.Run()
-	if setupErr != nil {
-		return nil, setupErr
-	}
-	if cfg.Pipeline != nil {
-		cfg.Pipeline.Sample(c.K.Now())
+	if err := r.finish(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
