@@ -176,7 +176,7 @@ func zeroCopyPair(n int) (bounce, zerocopy float64) {
 }
 
 func thirtyOneHosts() (int, bool) {
-	c, err := cluster.New(cluster.Config{Hosts: 32, MemBytes: 8 << 20, AdapterWindows: 1024})
+	c, err := cluster.New(cluster.Config{Hosts: 32, AdapterWindows: 1024})
 	if err != nil {
 		fatal(err)
 	}

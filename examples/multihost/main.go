@@ -20,7 +20,7 @@ import (
 const clients = 8
 
 func main() {
-	c, err := cluster.New(cluster.Config{Hosts: clients + 2, MemBytes: 16 << 20, AdapterWindows: 512})
+	c, err := cluster.New(cluster.Config{Hosts: clients + 2, AdapterWindows: 512})
 	check(err)
 	ctrl, err := c.AttachNVMe(0, cluster.NVMeConfig{})
 	check(err)

@@ -26,7 +26,7 @@ const (
 )
 
 func main() {
-	c, err := cluster.New(cluster.Config{Hosts: writers + 2, AdapterWindows: 512, MemBytes: 16 << 20})
+	c, err := cluster.New(cluster.Config{Hosts: writers + 2, AdapterWindows: 512})
 	check(err)
 	_, err = c.AttachNVMe(0, cluster.NVMeConfig{})
 	check(err)

@@ -126,9 +126,6 @@ func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 	cc := Config{Hosts: cfg.Hosts + 1}
 	if cfg.LocalBaseline {
 		cc.Hosts++
-		// The stock driver's default calibration (QD 256, 32-page PRP
-		// pools) needs more DRAM than the lean clients do.
-		cc.MemBytes = 64 << 20
 	}
 	nv := cfg.Overlay.applyNVMe(NVMeConfig{})
 	client := cfg.Overlay.applyClient(cfg.Client)

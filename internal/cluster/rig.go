@@ -21,8 +21,7 @@ import (
 // rigSpec declares a shared-device scenario's topology and observers.
 type rigSpec struct {
 	// cluster holds the host count (device hosts included) and fabric
-	// parameters. MemBytes defaults to 16 MiB per host; AdapterWindows is
-	// always 1024.
+	// parameters. AdapterWindows is always 1024.
 	cluster Config
 	// devices puts one controller on each of hosts 0..len(devices)-1,
 	// registered with SmartIO under its name. Only the first gets the
@@ -55,9 +54,6 @@ type rig struct {
 // yet except the controllers' own processes.
 func newRig(spec rigSpec) (*rig, error) {
 	cc := spec.cluster
-	if cc.MemBytes == 0 {
-		cc.MemBytes = 16 << 20
-	}
 	cc.AdapterWindows = 1024
 	c, err := New(cc)
 	if err != nil {

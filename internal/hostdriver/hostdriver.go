@@ -241,7 +241,10 @@ func (d *Driver) createQueue(p *sim.Proc, qid uint16, ctrl *nvme.Controller) (*i
 			return nil, err
 		}
 		// Program the PRP list once; it never changes (pages are fixed).
-		list, _ := d.host.Slice(ctx.prpList, nvme.PageSize)
+		list, err := d.host.Slice(ctx.prpList, nvme.PageSize)
+		if err != nil {
+			return nil, err
+		}
 		for j := 1; j < d.params.MaxPages; j++ {
 			le64(list[(j-1)*8:], uint64(ctx.pages[j]))
 		}
@@ -410,7 +413,9 @@ func (q *ioQueue) exec(p *sim.Proc, cmd *nvme.SQE, data []byte) error {
 			cmd.PRP2 = ctx.prpList
 		}
 		if opcodeSendsData(cmd.Opcode) {
-			q.movePages(ctx, data, true)
+			if err := q.movePages(ctx, data, true); err != nil {
+				return err
+			}
 		}
 	}
 	cmd.CID = cid
@@ -437,27 +442,31 @@ func (q *ioQueue) exec(p *sim.Proc, cmd *nvme.SQE, data []byte) error {
 		return &StatusError{Status: ctx.status}
 	}
 	if n > 0 && cmd.Opcode == nvme.IORead {
-		q.movePages(ctx, data, false)
+		return q.movePages(ctx, data, false)
 	}
 	return nil
 }
 
 // movePages copies between a Go buffer and the context's DMA pages
 // (model boundary, no virtual time). in=true moves data into the pages.
-func (q *ioQueue) movePages(ctx *cmdCtx, data []byte, in bool) {
+func (q *ioQueue) movePages(ctx *cmdCtx, data []byte, in bool) error {
 	n := len(data)
 	for off := 0; off < n; off += nvme.PageSize {
 		end := off + nvme.PageSize
 		if end > n {
 			end = n
 		}
-		pg, _ := q.drv.host.Slice(ctx.pages[off/nvme.PageSize], uint64(end-off))
+		pg, err := q.drv.host.Slice(ctx.pages[off/nvme.PageSize], uint64(end-off))
+		if err != nil {
+			return fmt.Errorf("hostdriver: DMA page: %w", err)
+		}
 		if in {
 			copy(pg, data[off:end])
 		} else {
 			copy(data[off:end], pg)
 		}
 	}
+	return nil
 }
 
 func opcodeSendsData(op uint8) bool {

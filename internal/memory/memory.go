@@ -2,8 +2,11 @@
 // DRAM range with real backing bytes and a first-fit segment allocator.
 //
 // All queue entries, PRP lists, bounce buffers and data pages in the
-// simulation live in these byte arrays, so data integrity can be verified
+// simulation live in this memory, so data integrity can be verified
 // through every layer (NTB translation, controller DMA, bounce copies).
+// The backing bytes are paged: a 4 KiB page is materialized on its first
+// write, and a page never written reads as zeros. A host's DRAM costs
+// only its page table until the simulation touches it.
 package memory
 
 import (
@@ -15,37 +18,44 @@ import (
 // Addr is a physical address within one host's address space.
 type Addr = uint64
 
+// PageSize is the granularity of the backing store. Pages are aligned to
+// the memory's base address.
+const PageSize = 4096
+
 // Errors returned by Memory operations.
 var (
 	ErrOutOfRange = errors.New("memory: access out of range")
 	ErrNoSpace    = errors.New("memory: allocation failed, no space")
 	ErrBadFree    = errors.New("memory: free of unallocated address")
 	ErrBadAlign   = errors.New("memory: alignment must be a power of two")
+	ErrSpansPages = errors.New("memory: slice spans a page boundary")
 )
+
+type page = [PageSize]byte
 
 // Memory is one host's DRAM. It is not safe for concurrent use; in the
 // simulation all access is serialized by the event kernel.
 type Memory struct {
 	base Addr
-	data []byte
+	size uint64
+	// pages[i] backs [base+i*PageSize, base+(i+1)*PageSize); a nil entry
+	// is a page of zeros.
+	pages []*page
 	// allocated maps segment start -> length.
 	allocated map[Addr]uint64
 	// free list of [start, end) holes, sorted by start.
 	holes []hole
-	// touched is the high-water offset (exclusive, relative to base) of
-	// bytes that may have been written. Everything at or beyond it is
-	// still runtime-zeroed from make, so AllocZeroed can skip it.
-	touched uint64
 }
 
 type hole struct{ start, end Addr }
 
 // New creates a memory of the given size whose first byte is at physical
-// address base.
+// address base. No page is materialized until it is written.
 func New(base Addr, size uint64) *Memory {
 	return &Memory{
 		base:      base,
-		data:      make([]byte, size),
+		size:      size,
+		pages:     make([]*page, (size+PageSize-1)/PageSize),
 		allocated: make(map[Addr]uint64),
 		holes:     []hole{{start: base, end: base + size}},
 	}
@@ -55,30 +65,53 @@ func New(base Addr, size uint64) *Memory {
 func (m *Memory) Base() Addr { return m.base }
 
 // Size returns the memory size in bytes.
-func (m *Memory) Size() uint64 { return uint64(len(m.data)) }
+func (m *Memory) Size() uint64 { return m.size }
 
 // Contains reports whether [addr, addr+n) lies inside the memory.
 func (m *Memory) Contains(addr Addr, n uint64) bool {
-	return addr >= m.base && addr+n >= addr && addr+n <= m.base+uint64(len(m.data))
+	return addr >= m.base && addr+n >= addr && addr+n <= m.base+m.size
 }
 
-// Read copies len(buf) bytes starting at addr into buf.
+// page returns page i, materializing it if it has never been written.
+func (m *Memory) page(i uint64) *page {
+	p := m.pages[i]
+	if p == nil {
+		p = new(page)
+		m.pages[i] = p
+	}
+	return p
+}
+
+// Read copies len(buf) bytes starting at addr into buf. Pages never
+// written read as zeros and stay unmaterialized.
 func (m *Memory) Read(addr Addr, buf []byte) error {
 	if !m.Contains(addr, uint64(len(buf))) {
 		return fmt.Errorf("%w: read [%#x,+%d)", ErrOutOfRange, addr, len(buf))
 	}
-	copy(buf, m.data[addr-m.base:])
+	for off := addr - m.base; len(buf) > 0; {
+		in := off % PageSize
+		n := min(uint64(len(buf)), PageSize-in)
+		if p := m.pages[off/PageSize]; p != nil {
+			copy(buf[:n], p[in:])
+		} else {
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		off += n
+	}
 	return nil
 }
 
-// Write copies data into memory starting at addr.
+// Write copies data into memory starting at addr, materializing the pages
+// it lands on.
 func (m *Memory) Write(addr Addr, data []byte) error {
 	if !m.Contains(addr, uint64(len(data))) {
 		return fmt.Errorf("%w: write [%#x,+%d)", ErrOutOfRange, addr, len(data))
 	}
-	copy(m.data[addr-m.base:], data)
-	if end := addr - m.base + uint64(len(data)); end > m.touched {
-		m.touched = end
+	for off := addr - m.base; len(data) > 0; {
+		n := copy(m.page(off / PageSize)[off%PageSize:], data)
+		data = data[n:]
+		off += uint64(n)
 	}
 	return nil
 }
@@ -86,17 +119,21 @@ func (m *Memory) Write(addr Addr, data []byte) error {
 // Slice returns the backing bytes for [addr, addr+n) without copying.
 // Mutating the returned slice mutates memory; this is how "CPU" code in the
 // simulation gets zero-copy access to local structures like CQ entries.
+// The range must lie within one page (ErrSpansPages otherwise); callers
+// moving larger buffers use Read and Write.
 func (m *Memory) Slice(addr Addr, n uint64) ([]byte, error) {
 	if !m.Contains(addr, n) {
 		return nil, fmt.Errorf("%w: slice [%#x,+%d)", ErrOutOfRange, addr, n)
 	}
-	off := addr - m.base
-	// The caller may write through the slice; conservatively raise the
-	// high-water mark.
-	if off+n > m.touched {
-		m.touched = off + n
+	if n == 0 {
+		return []byte{}, nil
 	}
-	return m.data[off : off+n : off+n], nil
+	off := addr - m.base
+	in := off % PageSize
+	if in+n > PageSize {
+		return nil, fmt.Errorf("%w: slice [%#x,+%d)", ErrSpansPages, addr, n)
+	}
+	return m.page(off / PageSize)[in : in+n : in+n], nil
 }
 
 func alignUp(a Addr, align uint64) Addr {
@@ -136,17 +173,23 @@ func (m *Memory) Alloc(size, align uint64) (Addr, error) {
 }
 
 // AllocZeroed is Alloc followed by zero-filling the segment; allocations
-// may land on previously freed, dirty bytes. Only the part of the segment
-// below the touched high-water mark needs clearing — the rest has never
-// been written and is still zero from make.
+// may land on previously freed, dirty bytes. Pages the segment covers
+// entirely are dropped back to zero pages; partly covered ones are
+// cleared in place.
 func (m *Memory) AllocZeroed(size, align uint64) (Addr, error) {
 	a, err := m.Alloc(size, align)
 	if err != nil {
 		return 0, err
 	}
-	off := a - m.base
-	if zend := min(off+size, m.touched); zend > off {
-		clear(m.data[off:zend])
+	for off, end := a-m.base, a-m.base+size; off < end; {
+		i, in := off/PageSize, off%PageSize
+		n := min(end-off, PageSize-in)
+		if n == PageSize {
+			m.pages[i] = nil
+		} else if p := m.pages[i]; p != nil {
+			clear(p[in : in+n])
+		}
+		off += n
 	}
 	return a, nil
 }

@@ -334,7 +334,8 @@ func (c *Controller) ioRead(p *sim.Proc, qid uint16, cmd *SQE) uint16 {
 		return Status(SCTGeneric, SCLBAOutOfRange)
 	}
 	n := nlb * c.med.BlockSize()
-	buf := make([]byte, n)
+	buf := c.dataBuf(n)
+	defer c.putDataBuf(buf)
 	t0 := p.Now()
 	if err := c.med.Read(p, slba, nlb, buf); err != nil {
 		c.Stats.MediaErrs++
@@ -358,7 +359,8 @@ func (c *Controller) ioWrite(p *sim.Proc, qid uint16, cmd *SQE) uint16 {
 		return Status(SCTGeneric, SCLBAOutOfRange)
 	}
 	n := nlb * c.med.BlockSize()
-	buf := make([]byte, n)
+	buf := c.dataBuf(n)
+	defer c.putDataBuf(buf)
 	t0 := p.Now()
 	if st := c.readPRP(p, cmd.PRP1, cmd.PRP2, buf); st != StatusOK {
 		return st

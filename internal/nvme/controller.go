@@ -226,6 +226,9 @@ type Controller struct {
 
 	// cmb backs the Controller Memory Buffer (nil when disabled).
 	cmb []byte
+	// dataBufs are finished commands' data buffers, kept for reuse so a
+	// 128 KiB IO does not allocate its staging copy each time.
+	dataBufs [][]byte
 	// vwc is the volatile-write-cache feature state (always reported; the
 	// Optane-class medium itself is cacheless, so it is a no-op switch).
 	vwc bool
@@ -658,6 +661,23 @@ func (c *Controller) dmaRead(p *sim.Proc, addr pcie.Addr, buf []byte) (int, erro
 	res, err := c.dom.MemReadRoute(p, c.node, addr, buf)
 	return res.Crossings, err
 }
+
+// dataBuf returns an n-byte staging buffer for one command's data; the
+// command returns it with putDataBuf once its DMA and medium access are
+// done. Contents are stale: the caller overwrites all n bytes.
+func (c *Controller) dataBuf(n int) []byte {
+	for i := len(c.dataBufs) - 1; i >= 0; i-- {
+		if b := c.dataBufs[i]; cap(b) >= n {
+			last := len(c.dataBufs) - 1
+			c.dataBufs[i] = c.dataBufs[last]
+			c.dataBufs = c.dataBufs[:last]
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+func (c *Controller) putDataBuf(b []byte) { c.dataBufs = append(c.dataBufs, b) }
 
 // dmaWrite stores data for the controller: internal CMB access or a
 // posted fabric write.

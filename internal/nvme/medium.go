@@ -1,6 +1,7 @@
 package nvme
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -219,9 +220,12 @@ func (f *FlashMedium) Write(p *sim.Proc, lba uint64, nblk int, data []byte) erro
 		return ErrMediaWrite
 	}
 	for i := 0; i < nblk; i++ {
-		blk := make([]byte, f.blockSize)
-		copy(blk, data[i*f.blockSize:(i+1)*f.blockSize])
-		f.data[lba+uint64(i)] = blk
+		src := data[i*f.blockSize : (i+1)*f.blockSize]
+		if blk, ok := f.data[lba+uint64(i)]; ok {
+			copy(blk, src)
+			continue
+		}
+		f.data[lba+uint64(i)] = bytes.Clone(src)
 	}
 	f.Writes++
 	f.BlocksWritten += uint64(nblk)

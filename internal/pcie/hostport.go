@@ -160,7 +160,7 @@ func (h *HostPort) Read(p *sim.Proc, addr Addr, buf []byte) error {
 }
 
 // Slice returns a zero-copy view of local DRAM; it fails for non-local
-// addresses.
+// addresses and for a range crossing a 4 KiB page (memory.ErrSpansPages).
 func (h *HostPort) Slice(addr Addr, n uint64) ([]byte, error) {
 	return h.mem.Slice(addr, n)
 }
